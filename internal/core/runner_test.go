@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"strings"
@@ -55,6 +56,13 @@ func resultFingerprint(res *Result) string {
 	fmt.Fprintf(&b, "summary{%s}\nhist{%s}\nflags{%s}\n",
 		summaryFingerprint(res.Throughput), histFingerprint(res.Hist), res.Flags)
 	return b.String()
+}
+
+// fingerprintDigest is the sha256 of resultFingerprint, short enough
+// to pin as a constant so results are compared across commits, not
+// only across repeats within one.
+func fingerprintDigest(res *Result) string {
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(resultFingerprint(res))))
 }
 
 func sweepFingerprint(res *SweepResult) string {

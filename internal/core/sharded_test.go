@@ -24,16 +24,28 @@ func shardedDetExperiment(shards, parallelism int) *Experiment {
 	}
 }
 
+// shardedDetDigests pins fingerprintDigest of shardedDetExperiment(n, 1)
+// per shard count. A kernel change that keeps repeats identical but
+// moves any number still fails here.
+var shardedDetDigests = map[int]string{
+	2: "a56f65ef51c068b3eab25f1a33c7a29c99efa7108beb1f9e98c07c4b512c4169",
+	4: "50aacde0b9873ab907ca9a64b6a2f223bd6f5e63c369fd785499ca37173ab58e",
+}
+
 // TestExperimentShardedDeterminism is the sharded half of the
 // determinism matrix: at every shard count, repeated runs are
 // bit-identical, and the experiment-level Parallelism (how many runs
 // execute concurrently) never moves a number — the same contract the
-// single-loop kernel holds.
+// single-loop kernel holds. The reference run must also match its
+// pinned digest.
 func TestExperimentShardedDeterminism(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		ref, err := shardedDetExperiment(shards, 1).Run()
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if got := fingerprintDigest(ref); got != shardedDetDigests[shards] {
+			t.Errorf("shards=%d digest %s, pinned %s", shards, got, shardedDetDigests[shards])
 		}
 		want := resultFingerprint(ref)
 		for _, par := range []int{1, 4} {

@@ -55,13 +55,22 @@ func TestExperimentSharedDeviceDeterminism(t *testing.T) {
 	}
 }
 
+// sharedFourShardDigest pins fingerprintDigest of the shards=4
+// shared-device point, so the star schedule is held fixed across
+// commits and not only across repeats.
+const sharedFourShardDigest = "0faa2224123832c9b7579a71619988cec393aeccdef258b24124bad1fef6bbca"
+
 // TestExperimentSharedDeviceRepeatAtFourShards covers the wider
 // partition once (the 2-shard matrix above carries the scheduling
-// axes): repeats at shards=4 stay bit-identical.
+// axes): repeats at shards=4 stay bit-identical and match the pinned
+// digest.
 func TestExperimentSharedDeviceRepeatAtFourShards(t *testing.T) {
 	a, err := sharedDetExperiment(4, 2).Run()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := fingerprintDigest(a); got != sharedFourShardDigest {
+		t.Errorf("shards=4 digest %s, pinned %s", got, sharedFourShardDigest)
 	}
 	b, err := sharedDetExperiment(4, 2).Run()
 	if err != nil {

@@ -218,7 +218,7 @@ type RemoteSender func(at sim.Time, fn func())
 // SubmitRemote enqueues a request on behalf of another shard: done is
 // not invoked locally but mailed through send at the completion time.
 // Because the device promises done >= dispatch + MinLatency and the
-// sharded engine's lookahead never exceeds MinLatency, the completion
+// sharded engine's lookahead is MinLatency, the completion
 // mail — sent at dispatch, stamped with the completion time — is
 // never clamped: the submitting thread resumes at the exact virtual
 // time it would have in a single-loop run. Only requests that error

@@ -3,24 +3,23 @@ package sim
 import "sort"
 
 // ShardedLoop runs N EventLoop shards in parallel under conservative
-// time-window synchronization — the classic Chandy-Misra-Bryant
-// discipline specialized to this kernel's one-baton loops.
+// synchronization over a declared communication graph — the classic
+// Chandy-Misra-Bryant discipline specialized to this kernel's
+// one-baton loops.
 //
 // Each shard owns a full EventLoop (heap, clock, baton) and runs on
 // its own goroutine, so shards genuinely execute on separate cores.
-// A coordinator repeatedly computes a safe horizon
-//
-//	W = min over shards of next-event time + lookahead
-//
-// where lookahead is the minimum virtual latency of any cross-shard
-// interaction. Every event before W on any shard is causally
-// independent of every event at or after W on any other shard: the
-// earliest message a shard could send inside the window arrives at
-// least lookahead later, which is at or past W. So all shards run
-// freely (in parallel) up to W, barrier, exchange mail, and the
-// window advances. Within a shard, ordering is the usual exact
-// (time, sequence) order; determinism is therefore preserved
+// The caller declares which shards may mail which; lookahead is the
+// minimum virtual latency of any cross-shard interaction. A
+// coordinator repeatedly gives each shard a safe horizon — the
+// earliest time any of its declared senders could still deliver mail
+// (see Run) — and the shard runs freely (in parallel with the others)
+// up to it. At the barrier the coordinator exchanges mail and
+// recomputes the horizons. Within a shard, ordering is the usual
+// exact (time, sequence) order; determinism is therefore preserved
 // per-shard, and cross-shard mail is merged deterministically (below).
+// A shard with no declared senders is released once and runs its heap
+// dry, so a graph with no edges runs every shard with no barriers.
 //
 // Cross-shard events go through per-shard outboxes drained at the
 // barrier in (delivery time, source shard, source sequence) order —
@@ -37,13 +36,9 @@ type ShardedLoop struct {
 	lookahead Time
 	shards    []*loopShard
 
-	// Topology, when declared via SetTopology: senders[dst] lists the
-	// shards allowed to Send to dst, and allowed[src][dst] guards the
-	// contract at Send time. A nil topology means all-to-all with the
-	// original uniform window (minNext + lookahead) — declared
-	// topologies switch Run to per-shard horizons computed by
-	// Chandy-Misra earliest-output-time relaxation, which lets a shard
-	// with distant inputs run far ahead of a hot neighbor.
+	// The declared topology: senders[dst] lists the shards allowed to
+	// Send to dst, and allowed[src][dst] guards the contract at Send
+	// time — the horizon math is only sound for declared edges.
 	senders [][]int
 	allowed [][]bool
 
@@ -78,67 +73,27 @@ type routedMail struct {
 	src, idx int
 }
 
-// NewShardedLoop returns n shards whose clocks start at the given
-// time. lookahead is the minimum cross-shard latency the caller
+// NewShardedLoop returns len(edges) shards whose clocks start at the
+// given time. edges[src] lists every dst that src may Send to; Send on
+// any other edge panics, and an empty list (or nil) means the shard
+// never sends. lookahead is the minimum cross-shard latency the caller
 // guarantees (clamped to at least 1 ns — a zero lookahead could never
-// advance the window).
-func NewShardedLoop(start Time, n int, lookahead Time) *ShardedLoop {
+// advance a horizon).
+func NewShardedLoop(start Time, edges [][]int, lookahead Time) *ShardedLoop {
+	n := len(edges)
 	if n < 1 {
 		panic("sim: sharded loop needs at least one shard")
 	}
 	if lookahead < 1 {
 		lookahead = 1
 	}
-	sl := &ShardedLoop{lookahead: lookahead}
-	for i := 0; i < n; i++ {
-		sl.shards = append(sl.shards, &loopShard{
-			id:   i,
-			loop: NewEventLoop(start),
-			run:  make(chan Time),
-			done: make(chan struct{}),
-		})
+	sl := &ShardedLoop{
+		lookahead: lookahead,
+		senders:   make([][]int, n),
+		allowed:   make([][]bool, n),
+		eot:       make([]Time, n),
+		horizon:   make([]Time, n),
 	}
-	return sl
-}
-
-// NumShards reports the shard count.
-func (sl *ShardedLoop) NumShards() int { return len(sl.shards) }
-
-// Lookahead reports the conservative window width.
-func (sl *ShardedLoop) Lookahead() Time { return sl.lookahead }
-
-// Shard returns shard i's event loop. Before Run, the caller seeds it
-// (spawn procs, schedule events) from its own goroutine; during Run,
-// only code executing on shard i may touch it.
-func (sl *ShardedLoop) Shard(i int) *EventLoop { return sl.shards[i].loop }
-
-// SetTopology declares the cross-shard communication graph:
-// edges[src] lists every dst that src may Send to. Declaring the
-// topology does two things. It turns undeclared Sends into panics
-// (the horizon math below is only sound for declared edges), and it
-// switches Run from one uniform window to per-shard horizons — shard
-// i may run every event earlier than the earliest mail its declared
-// senders could still produce, so a shard whose inputs are quiet is
-// not barrier-stalled by an unrelated hot shard.
-//
-// SetTopology must be called before Run. Passing nil restores the
-// default all-to-all uniform-window behavior, which is kept
-// bit-identical to the pre-topology kernel: per-shard horizons can
-// legitimately place the same send in a different window than the
-// uniform schedule would, which permutes same-timestamp merge order,
-// so existing replica-mode results only stay frozen because nil
-// topology takes the exact original code path.
-func (sl *ShardedLoop) SetTopology(edges [][]int) {
-	if edges == nil {
-		sl.senders, sl.allowed = nil, nil
-		return
-	}
-	n := len(sl.shards)
-	if len(edges) != n {
-		panic("sim: topology must list edges for every shard")
-	}
-	sl.senders = make([][]int, n)
-	sl.allowed = make([][]bool, n)
 	for src := range sl.allowed {
 		sl.allowed[src] = make([]bool, n)
 	}
@@ -157,16 +112,31 @@ func (sl *ShardedLoop) SetTopology(edges [][]int) {
 			sl.senders[dst] = append(sl.senders[dst], src)
 		}
 	}
+	for i := 0; i < n; i++ {
+		sl.shards = append(sl.shards, &loopShard{
+			id:   i,
+			loop: NewEventLoop(start),
+			run:  make(chan Time),
+			done: make(chan struct{}),
+		})
+	}
+	return sl
 }
 
+// Shard returns shard i's event loop. Before Run, the caller seeds it
+// (spawn procs, schedule events) from its own goroutine; during Run,
+// only code executing on shard i may touch it.
+func (sl *ShardedLoop) Shard(i int) *EventLoop { return sl.shards[i].loop }
+
 // Send schedules fn on shard dst at virtual time at, from code
-// running on shard src. Delivery below src's now+lookahead is clamped
-// up to it — the lookahead contract is what makes the window safe.
-// The event is buffered in src's outbox and delivered at the next
-// barrier; buffering is safe precisely because the clamped delivery
-// time can never fall inside the current window.
+// running on shard src, over an edge declared to NewShardedLoop.
+// Delivery below src's now+lookahead is clamped up to it — the
+// lookahead contract is what makes the horizons safe. The event is
+// buffered in src's outbox and delivered at the next barrier;
+// buffering is safe precisely because the clamped delivery time can
+// never fall inside dst's current horizon.
 func (sl *ShardedLoop) Send(src, dst int, at Time, fn func()) {
-	if sl.allowed != nil && !sl.allowed[src][dst] {
+	if !sl.allowed[src][dst] {
 		panic("sim: Send on an edge not declared in the topology")
 	}
 	s := sl.shards[src]
@@ -176,57 +146,19 @@ func (sl *ShardedLoop) Send(src, dst int, at Time, fn func()) {
 	s.outbox = append(s.outbox, mail{dst: dst, at: at, fn: fn})
 }
 
-// Run executes all shards to completion: windows advance until no
-// shard has a pending event and no mail is in flight. Like
-// EventLoop.Run, procs parked with no arranged wake-up are the
-// caller's bug — they do not keep Run alive.
-func (sl *ShardedLoop) Run() {
-	for _, s := range sl.shards {
-		go s.serve()
-	}
-	if sl.senders == nil {
-		sl.runUniform()
-	} else {
-		sl.runTopology()
-	}
-	for _, s := range sl.shards {
-		close(s.run)
-	}
-	for _, s := range sl.shards {
-		<-s.done
-	}
-}
-
-// runUniform is the original all-to-all schedule: one global window
-// minNext+lookahead, every shard released every round. Replica-mode
-// callers depend on this exact schedule for bit-identical results.
-func (sl *ShardedLoop) runUniform() {
-	for {
-		sl.deliver()
-		horizon, ok := sl.minNext()
-		if !ok {
-			break
-		}
-		w := horizon + sl.lookahead
-		for _, s := range sl.shards {
-			s.run <- w
-		}
-		for _, s := range sl.shards {
-			<-s.done
-		}
-	}
-}
-
 // maxTime is the open horizon a shard gets when its inputs can never
 // produce earlier mail (e.g. no declared senders).
 const maxTime = Time(1<<63 - 1)
 
-// runTopology advances per-shard horizons over the declared graph.
+// Run executes all shards to completion: rounds advance until no
+// shard has a pending event and no mail is in flight. Like
+// EventLoop.Run, procs parked with no arranged wake-up are the
+// caller's bug — they do not keep Run alive.
 //
-// For each shard j define EOT(j), a lower bound on the timestamp of
-// any mail j can still produce: j's code only runs inside an event,
-// its earliest future event is min(next_j, earliest incoming mail),
-// and every Send is clamped to now+lookahead, so
+// Each round computes, for each shard j, EOT(j), a lower bound on the
+// timestamp of any mail j can still produce: j's code only runs
+// inside an event, its earliest future event is min(next_j, earliest
+// incoming mail), and every Send is clamped to now+lookahead, so
 //
 //	EOT(j) = min(next_j, min over k∈senders(j) EOT(k)) + lookahead
 //
@@ -250,15 +182,14 @@ const maxTime = Time(1<<63 - 1)
 // state, so the schedule — and with it the (at, src, idx) merge order
 // of same-timestamp mail — is identical on every run regardless of
 // GOMAXPROCS or goroutine interleaving.
-func (sl *ShardedLoop) runTopology() {
-	n := len(sl.shards)
-	if sl.eot == nil {
-		sl.eot = make([]Time, n)
-		sl.horizon = make([]Time, n)
+func (sl *ShardedLoop) Run() {
+	for _, s := range sl.shards {
+		go s.serve()
 	}
+	n := len(sl.shards)
 	for {
 		sl.deliver()
-		if _, ok := sl.minNext(); !ok {
+		if !sl.pending() {
 			break
 		}
 		for j, s := range sl.shards {
@@ -271,13 +202,7 @@ func (sl *ShardedLoop) runTopology() {
 		for round := 0; round < n; round++ {
 			changed := false
 			for j := range sl.shards {
-				in := maxTime
-				for _, k := range sl.senders[j] {
-					if sl.eot[k] < in {
-						in = sl.eot[k]
-					}
-				}
-				if in != maxTime && in+sl.lookahead < sl.eot[j] {
+				if in := sl.earliestInput(j); in != maxTime && in+sl.lookahead < sl.eot[j] {
 					sl.eot[j] = in + sl.lookahead
 					changed = true
 				}
@@ -288,12 +213,7 @@ func (sl *ShardedLoop) runTopology() {
 		}
 		released := 0
 		for i, s := range sl.shards {
-			w := maxTime
-			for _, k := range sl.senders[i] {
-				if sl.eot[k] < w {
-					w = sl.eot[k]
-				}
-			}
+			w := sl.earliestInput(i)
 			sl.horizon[i] = 0
 			if t, ok := s.loop.NextTime(); ok && t < w {
 				sl.horizon[i] = w
@@ -310,6 +230,24 @@ func (sl *ShardedLoop) runTopology() {
 			}
 		}
 	}
+	for _, s := range sl.shards {
+		close(s.run)
+	}
+	for _, s := range sl.shards {
+		<-s.done
+	}
+}
+
+// earliestInput is the minimum EOT over shard j's declared senders:
+// no mail can reach j before it (maxTime when j has no senders).
+func (sl *ShardedLoop) earliestInput(j int) Time {
+	in := maxTime
+	for _, k := range sl.senders[j] {
+		if sl.eot[k] < in {
+			in = sl.eot[k]
+		}
+	}
+	return in
 }
 
 // serve is a shard goroutine: run each granted window, signal the
@@ -362,14 +300,12 @@ func (sl *ShardedLoop) deliver() {
 	sl.routeBuf = all[:0]
 }
 
-// minNext reports the earliest pending event time across shards.
-func (sl *ShardedLoop) minNext() (Time, bool) {
-	var best Time
-	found := false
+// pending reports whether any shard has an event left to run.
+func (sl *ShardedLoop) pending() bool {
 	for _, s := range sl.shards {
-		if t, ok := s.loop.NextTime(); ok && (!found || t < best) {
-			best, found = t, true
+		if s.loop.Len() > 0 {
+			return true
 		}
 	}
-	return best, found
+	return false
 }

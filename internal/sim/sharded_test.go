@@ -8,11 +8,12 @@ import (
 
 // shardedTrace runs a fixed cross-shard ping-pong workload and
 // returns each shard's (label, time) execution trace. Two shards
-// exchange mail every round; a third shard runs a dense local event
-// train so windows matter. Traces are per-shard — shards execute
-// concurrently inside a window, so a combined slice would race.
+// exchange mail every round; a third shard, on no declared edge, runs
+// a dense local event train free of the pair's barriers. Traces are
+// per-shard — shards execute concurrently inside a window, so a
+// combined slice would race.
 func shardedTrace(lookahead Time) [3][]string {
-	sl := NewShardedLoop(0, 3, lookahead)
+	sl := NewShardedLoop(0, [][]int{{1}, {0}, nil}, lookahead)
 	var trace [3][]string
 	note := func(shard int, what string, at Time) {
 		trace[shard] = append(trace[shard], fmt.Sprintf("%s @%d", what, at))
@@ -71,7 +72,7 @@ func TestShardedLoopDeterministicTrace(t *testing.T) {
 }
 
 func TestShardedLoopRunsAllEvents(t *testing.T) {
-	sl := NewShardedLoop(0, 4, 5)
+	sl := NewShardedLoop(0, make([][]int, 4), 5)
 	ran := make([]int, 4)
 	for i := 0; i < 4; i++ {
 		i := i
@@ -88,7 +89,7 @@ func TestShardedLoopRunsAllEvents(t *testing.T) {
 }
 
 func TestShardedLoopSendClampsToLookahead(t *testing.T) {
-	sl := NewShardedLoop(0, 2, 100)
+	sl := NewShardedLoop(0, [][]int{{1}, nil}, 100)
 	var deliveredAt Time
 	sl.Shard(0).Schedule(50, func() {
 		// Ask for delivery in the past; the lookahead contract clamps
@@ -102,7 +103,7 @@ func TestShardedLoopSendClampsToLookahead(t *testing.T) {
 }
 
 func TestShardedLoopProcsPerShard(t *testing.T) {
-	sl := NewShardedLoop(0, 2, Time(Millisecond))
+	sl := NewShardedLoop(0, make([][]int, 2), Time(Millisecond))
 	ends := make([]Time, 2)
 	for i := 0; i < 2; i++ {
 		i := i
@@ -121,7 +122,7 @@ func TestShardedLoopProcsPerShard(t *testing.T) {
 
 func TestShardedLoopSingleShard(t *testing.T) {
 	// One shard degenerates to a plain loop: same events, same order.
-	sl := NewShardedLoop(0, 1, 1)
+	sl := NewShardedLoop(0, [][]int{nil}, 1)
 	var got []Time
 	sl.Shard(0).Go(0, func(p *Proc) {
 		for k := 0; k < 5; k++ {

@@ -10,12 +10,9 @@ import (
 // topology: three spoke shards fire same-timestamp requests into one
 // hub shard, which answers each on its declared back-edge. Returns
 // per-shard (label, time) traces.
-func starTrace(lookahead Time, declare bool) [4][]string {
+func starTrace(lookahead Time) [4][]string {
 	const hub = 3
-	sl := NewShardedLoop(0, 4, lookahead)
-	if declare {
-		sl.SetTopology([][]int{{hub}, {hub}, {hub}, {0, 1, 2}})
-	}
+	sl := NewShardedLoop(0, [][]int{{hub}, {hub}, {hub}, {0, 1, 2}}, lookahead)
 	var trace [4][]string
 	note := func(shard int, what string, at Time) {
 		trace[shard] = append(trace[shard], fmt.Sprintf("%s @%d", what, at))
@@ -46,9 +43,9 @@ func starTrace(lookahead Time, declare bool) [4][]string {
 }
 
 func TestShardedLoopTopologyDeterministicTrace(t *testing.T) {
-	first := starTrace(7, true)
+	first := starTrace(7)
 	for i := 0; i < 5; i++ {
-		if got := starTrace(7, true); !reflect.DeepEqual(got, first) {
+		if got := starTrace(7); !reflect.DeepEqual(got, first) {
 			t.Fatalf("run %d diverged:\n%v\nvs\n%v", i, got, first)
 		}
 	}
@@ -59,52 +56,62 @@ func TestShardedLoopTopologyDeterministicTrace(t *testing.T) {
 	}
 }
 
+// starTraceUniform is starTrace(7) as the retired all-to-all uniform
+// window (one global horizon of min next-event time + lookahead)
+// scheduled it.
+var starTraceUniform = [4][]string{
+	{"req @0", "req @14", "req @28", "req @42", "req @56", "req @70", "req @84", "req @98", "req @112"},
+	{"req @0", "req @14", "req @28", "req @42", "req @56", "req @70", "req @84", "req @98", "req @112"},
+	{"req @0", "req @14", "req @28", "req @42", "req @56", "req @70", "req @84", "req @98", "req @112"},
+	{
+		"serve0 @7", "serve1 @7", "serve2 @7", "serve0 @21", "serve1 @21", "serve2 @21",
+		"serve0 @35", "serve1 @35", "serve2 @35", "serve0 @49", "serve1 @49", "serve2 @49",
+		"serve0 @63", "serve1 @63", "serve2 @63", "serve0 @77", "serve1 @77", "serve2 @77",
+		"serve0 @91", "serve1 @91", "serve2 @91", "serve0 @105", "serve1 @105", "serve2 @105",
+	},
+}
+
 func TestShardedLoopTopologyMatchesUniform(t *testing.T) {
-	// Declaring the real communication graph must change scheduling
-	// only, never simulated times or per-shard event order.
-	if got, want := starTrace(7, true), starTrace(7, false); !reflect.DeepEqual(got, want) {
-		t.Fatalf("topology trace diverged from uniform-window trace:\n%v\nvs\n%v", got, want)
+	// Per-shard horizons change scheduling only, never simulated times
+	// or per-shard event order.
+	if got := starTrace(7); !reflect.DeepEqual(got, starTraceUniform) {
+		t.Fatalf("topology trace diverged from uniform-window trace:\n%v\nvs\n%v", got, starTraceUniform)
 	}
 }
 
 func TestShardedLoopTopologyPanicsOnUndeclaredEdge(t *testing.T) {
-	sl := NewShardedLoop(0, 3, 5)
-	sl.SetTopology([][]int{{1}, {0}, nil})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Send on an undeclared edge did not panic")
-		}
-	}()
-	// The edge check guards Send itself, before any loop machinery runs.
-	sl.Send(0, 2, 10, func() {})
+	for _, edges := range [][][]int{
+		{{1}, {0}, nil},
+		make([][]int, 3), // the empty graph: no shard may Send at all
+	} {
+		func() {
+			sl := NewShardedLoop(0, edges, 5)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Send on an edge undeclared in %v did not panic", edges)
+				}
+			}()
+			// The edge check guards Send itself, before any loop machinery runs.
+			sl.Send(0, 2, 10, func() {})
+		}()
+	}
 }
 
 func TestShardedLoopTopologyValidation(t *testing.T) {
-	sl := NewShardedLoop(0, 2, 5)
 	for _, edges := range [][][]int{
-		{{1}},           // wrong length
-		{{2}, nil},      // destination out of range
-		{{0}, nil},      // self edge
-		{{1, 1}, nil},   // duplicate edge
-		{nil, {0}, {0}}, // wrong length (too long)
+		{},            // no shards
+		{{2}, nil},    // destination out of range
+		{{0}, nil},    // self edge
+		{{1, 1}, nil}, // duplicate edge
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("SetTopology(%v) did not panic", edges)
+					t.Errorf("NewShardedLoop(%v) did not panic", edges)
 				}
 			}()
-			sl.SetTopology(edges)
+			NewShardedLoop(0, edges, 5)
 		}()
-	}
-	// nil restores the uniform-window default.
-	sl.SetTopology([][]int{{1}, {0}})
-	sl.SetTopology(nil)
-	ran := false
-	sl.Shard(0).Schedule(0, func() { sl.Send(0, 1, 5, func() { ran = true }) })
-	sl.Run()
-	if !ran {
-		t.Fatal("mail not delivered after topology reset")
 	}
 }
 
@@ -117,8 +124,7 @@ func TestShardedLoopTopologyValidation(t *testing.T) {
 // or silently reorder.
 func TestShardedLoopTopologyChainForwarding(t *testing.T) {
 	const la = 10
-	sl := NewShardedLoop(0, 3, la)
-	sl.SetTopology([][]int{{1}, {2}, nil})
+	sl := NewShardedLoop(0, [][]int{{1}, {2}, nil}, la)
 	var got []Time
 	// Shard 2 has a dense local train the forwarded mail must interleave
 	// with deterministically.
@@ -146,8 +152,7 @@ func TestShardedLoopTopologySameTimestampFanIn(t *testing.T) {
 	// All three spokes send mail stamped with the identical timestamp;
 	// the hub must apply them in (at, src, idx) order every run.
 	run := func() []string {
-		sl := NewShardedLoop(0, 4, 5)
-		sl.SetTopology([][]int{{3}, {3}, {3}, {0, 1, 2}})
+		sl := NewShardedLoop(0, [][]int{{3}, {3}, {3}, {0, 1, 2}}, 5)
 		var order []string
 		for spoke := 0; spoke < 3; spoke++ {
 			spoke := spoke

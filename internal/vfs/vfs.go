@@ -110,8 +110,9 @@ type Stats struct {
 //
 // The mount runs in one of two modes. In immediate mode (the default)
 // every device access resolves synchronously through Device.Submit —
-// setup, trace replay, and the nano raw-device tests use it. Between
-// BeginEvents and EndEvents the mount is in event mode: device
+// setup (including trace replay's namespace reconstruction) and the
+// nano raw-device tests use it; replay itself runs in event mode.
+// Between BeginEvents and EndEvents the mount is in event mode: device
 // accesses go through a device.Queue drained by an I/O scheduler, the
 // issuing process blocks until its request's completion event fires,
 // and asynchronous work (write-back, prefetch, journal pushes) merely
@@ -723,7 +724,8 @@ func (m *Mount) pageLBA(id cache.PageID) (int64, bool) {
 
 // maybeWriteback runs the inline flusher when the dirty ratio is
 // exceeded: collect a batch, sort by LBA (the elevator), issue,
-// mark clean. It serves immediate mode only (setup, trace replay),
+// mark clean. It serves immediate mode only (setup, including trace
+// replay's Setup),
 // where the submission is synchronous underneath and clean-at-submit
 // is clean-at-completion; in event mode flushing belongs to the
 // write-back daemon (flusherMain), which cleans pages in completion

@@ -10,19 +10,10 @@ import (
 	"repro/internal/vfs"
 )
 
-// DefaultLookahead is the conservative window width a sharded run
-// uses when the caller does not override it. The current partitioning
-// has no cross-shard event edges at all (each shard owns a complete
-// stack replica), so any positive value is causally safe; 10 ms keeps
-// barrier count at duration/10ms — negligible against per-window
-// event volume — while leaving the window protocol genuinely
-// exercised.
-const DefaultLookahead = 10 * sim.Millisecond
-
 // ShardedEngine runs one Workload partitioned across N shards, each
 // shard a complete Engine over its own Mount (device, cache, VFS) on
-// its own sim.ShardedLoop shard. Shards advance in parallel under
-// conservative time-window sync; within a shard the ordinary
+// its own sim.ShardedLoop shard. Replica shards never exchange mail,
+// so they run in parallel with no barriers; within a shard the ordinary
 // single-baton determinism rules hold, so a sharded run is
 // bit-identical across repeats and host parallelism for a fixed
 // (workload, seed, shard count).
@@ -51,12 +42,6 @@ type ShardedEngine struct {
 	w      *Workload
 	shards []*Engine
 	probe  *Probe
-	// Lookahead overrides the sync window width when positive; the
-	// zero value selects DefaultLookahead for replica mode and the
-	// device cost model's MinLatency for shared-device mode. In
-	// shared-device mode values above MinLatency are capped to it —
-	// a wider window would clamp completion mail and distort timing.
-	Lookahead sim.Time
 
 	// Shared-device mode (NewSharedDeviceEngine): the thread shards'
 	// mounts all sit on dev, and one extra shard owns sharedQ — the
@@ -202,18 +187,6 @@ func newPartitioned(mounts []*vfs.Mount, w *Workload, seed uint64) (*ShardedEngi
 	return se, nil
 }
 
-// NumShards reports the shard count.
-func (se *ShardedEngine) NumShards() int { return len(se.shards) }
-
-// Mounts returns each shard's mount in shard order.
-func (se *ShardedEngine) Mounts() []*vfs.Mount {
-	out := make([]*vfs.Mount, len(se.shards))
-	for i, sh := range se.shards {
-		out[i] = sh.m
-	}
-	return out
-}
-
 // SetProbe installs the measurement probe. During Run each shard
 // records into a private clone; the clones merge back into p when the
 // run completes. Probe.Trace is unsupported at shards>1 — a global
@@ -276,36 +249,29 @@ func (se *ShardedEngine) Run(from, until sim.Time) (sim.Time, error) {
 		return from, fmt.Errorf("workload: op tracing requires shards=1")
 	}
 	n := len(se.shards)
-	la := se.Lookahead
-	total := n
-	if se.shared {
-		// The window width is the device cost model's service-time
-		// floor: a completion mailed at dispatch with its (known) future
-		// completion time is then never clamped, so threads resume at
-		// the exact single-loop completion instant. Wider would clamp
-		// completions; caller overrides may only narrow it.
-		ml := se.dev.MinLatency()
-		if la <= 0 || la > ml {
-			la = ml
-		}
-		total = n + 1
-	} else if la <= 0 {
-		la = DefaultLookahead
-	}
-	sl := sim.NewShardedLoop(from, total, la)
-	var bridges []*deviceBridge
+	// Replica shards never Send: their graph has no edges, so each shard
+	// runs its heap dry in one release and the lookahead is moot.
+	edges := make([][]int, n)
+	var la sim.Time
 	if se.shared {
 		// Star topology: every thread shard exchanges mail with the
-		// device shard only. Declaring it turns on per-shard horizons,
-		// so thread shards are not barrier-stalled by the hot device
-		// shard (and vice versa) beyond true causal limits.
-		edges := make([][]int, total)
-		edges[n] = make([]int, n)
+		// device shard only, so thread shards are not barrier-stalled
+		// by the hot device shard (and vice versa) beyond true causal
+		// limits.
+		edges = append(edges, make([]int, n))
 		for i := 0; i < n; i++ {
 			edges[i] = []int{n}
 			edges[n][i] = i
 		}
-		sl.SetTopology(edges)
+		// The lookahead is the device cost model's service-time floor:
+		// a completion mailed at dispatch with its (known) future
+		// completion time is then never clamped, so threads resume at
+		// the exact single-loop completion instant.
+		la = se.dev.MinLatency()
+	}
+	sl := sim.NewShardedLoop(from, edges, la)
+	var bridges []*deviceBridge
+	if se.shared {
 		q, err := se.shards[0].m.NewQueue(sl.Shard(n))
 		if err != nil {
 			return from, err

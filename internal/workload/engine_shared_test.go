@@ -147,28 +147,3 @@ func TestSharedDeviceEngineContention(t *testing.T) {
 		t.Error("run completed no ops")
 	}
 }
-
-// TestSharedDeviceEngineLookaheadCap: a caller override may narrow
-// the window but never widen it past the device's MinLatency bound —
-// widening would let thread shards outrun completions.
-func TestSharedDeviceEngineLookaheadCap(t *testing.T) {
-	mounts := sharedDeviceMounts(t, 2, 2048)
-	ml := mounts[0].Dev.MinLatency()
-	for _, la := range []sim.Time{0, ml * 10, ml / 2} {
-		se, err := NewSharedDeviceEngine(sharedDeviceMounts(t, 2, 2048), RandomRead(4<<20, 2048, 4), 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		se.Lookahead = la
-		start, err := se.Setup(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := se.Run(start, start+sim.Second); err != nil {
-			t.Fatalf("lookahead=%v: %v", la, err)
-		}
-		if se.Counter().Ops == 0 {
-			t.Fatalf("lookahead=%v: no ops", la)
-		}
-	}
-}
