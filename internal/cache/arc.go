@@ -5,7 +5,9 @@ import "container/list"
 // ARC implements the Adaptive Replacement Cache (Megiddo & Modha,
 // FAST '03): two resident lists, T1 (recency) and T2 (frequency),
 // plus two ghost lists, B1 and B2, whose hits steer the adaptive
-// target p that divides the cache between recency and frequency.
+// target p that divides the cache between recency and frequency. An
+// entry moving between lists carries the boxed id list.Remove hands
+// back, so each page id is boxed once, when it enters the directory.
 type ARC struct {
 	capacity int
 	p        int // target size of T1
@@ -56,8 +58,7 @@ func (a *ARC) OnAccess(id PageID) {
 	}
 	switch e.list {
 	case lT1:
-		a.t1.Remove(e.elem)
-		e.elem = a.t2.PushFront(id)
+		e.elem = a.t2.PushFront(a.t1.Remove(e.elem))
 		e.list = lT2
 	case lT2:
 		a.t2.MoveToFront(e.elem)
@@ -92,13 +93,11 @@ func (a *ARC) OnInsert(id PageID) {
 	if e, ok := a.where[id]; ok {
 		switch e.list {
 		case lB1:
-			a.b1.Remove(e.elem)
-			e.elem = a.t2.PushFront(id)
+			e.elem = a.t2.PushFront(a.b1.Remove(e.elem))
 			e.list = lT2
 			return
 		case lB2:
-			a.b2.Remove(e.elem)
-			e.elem = a.t2.PushFront(id)
+			e.elem = a.t2.PushFront(a.b2.Remove(e.elem))
 			e.list = lT2
 			return
 		default:
@@ -145,11 +144,10 @@ func (a *ARC) Victim() (PageID, bool) {
 	} else {
 		return PageID{}, false
 	}
-	e := src.Back()
-	id := e.Value.(PageID)
-	src.Remove(e)
+	v := src.Remove(src.Back())
+	id := v.(PageID)
 	entry := a.where[id]
-	entry.elem = ghost.PushFront(id)
+	entry.elem = ghost.PushFront(v)
 	entry.list = ghostList
 	a.trimGhosts()
 	return id, true

@@ -407,6 +407,56 @@ func TestFlush(t *testing.T) {
 	}
 }
 
+// TestPolicyAllocs pins what one Lookup hit or one evicting Insert
+// allocates in a full cache. ARC and 2Q move an entry between lists
+// by pushing the boxed id list.Remove returns; boxing the id again
+// would cost one more object per move.
+func TestPolicyAllocs(t *testing.T) {
+	const pages = 1 << 10
+	cases := []struct {
+		name, policy string
+		hit          bool // Lookup a resident page not yet hit, else Insert a new one
+		want         float64
+	}{
+		{"arc/first-hit", "arc", true, 1},
+		{"arc/insert-evict", "arc", false, 6},
+		{"2q/insert-evict", "2q", false, 6},
+		{"lru/insert-evict", "lru", false, 4},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pol, err := NewPolicy(tc.policy, sim.NewRNG(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Stream four capacities of pages through, so the ghost
+			// lists are full too: resident are pages 3*pages..4*pages-1,
+			// none of them hit yet.
+			c := New(pages, pol)
+			for i := int64(0); i < 4*pages; i++ {
+				c.Insert(page(1, i), false)
+			}
+			next := int64(3 * pages)
+			if !tc.hit {
+				next = 4 * pages
+			}
+			got := testing.AllocsPerRun(100, func() {
+				if tc.hit {
+					if !c.Lookup(page(1, next)) {
+						t.Fatalf("page %d not resident", next)
+					}
+				} else {
+					c.Insert(page(1, next), false)
+				}
+				next++
+			})
+			if got != tc.want {
+				t.Errorf("%.2f allocs/op, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
 func BenchmarkLRUHit(b *testing.B) {
 	c := New(1<<16, NewLRU())
 	for i := int64(0); i < 1<<16; i++ {

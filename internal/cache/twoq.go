@@ -6,7 +6,8 @@ import "container/list"
 // pages enter a small FIFO probation queue (A1in); pages evicted from
 // probation are remembered in a ghost queue (A1out); a miss that hits
 // the ghost queue indicates reuse and the page is admitted to the main
-// LRU queue (Am). Scan-resistant where plain LRU is not.
+// LRU queue (Am). Scan-resistant where plain LRU is not. As in ARC, a
+// page moving between queues carries its boxed id along.
 type TwoQ struct {
 	capacity int
 	kin      int // max A1in size (resident)
@@ -85,8 +86,7 @@ func (q *TwoQ) OnInsert(id PageID) {
 		switch e.queue {
 		case qA1out:
 			// Reuse detected: admit to the hot queue.
-			q.a1out.Remove(e.elem)
-			e.elem = q.am.PushFront(id)
+			e.elem = q.am.PushFront(q.a1out.Remove(e.elem))
 			e.queue = qAm
 			return
 		default:
@@ -117,11 +117,11 @@ func (q *TwoQ) OnRemove(id PageID) {
 func (q *TwoQ) Victim() (PageID, bool) {
 	if q.a1in.Len() > q.kin || q.am.Len() == 0 {
 		if e := q.a1in.Back(); e != nil {
-			id := e.Value.(PageID)
-			q.a1in.Remove(e)
+			v := q.a1in.Remove(e)
+			id := v.(PageID)
 			// Remember the page as a ghost.
 			entry := q.where[id]
-			entry.elem = q.a1out.PushFront(id)
+			entry.elem = q.a1out.PushFront(v)
 			entry.queue = qA1out
 			q.trimGhosts()
 			return id, true

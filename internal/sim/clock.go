@@ -27,6 +27,11 @@ const (
 	Minute           = 60 * Second
 )
 
+// maxTime is the latest virtual time: the open horizon of
+// EventLoop.Run, and of a shard whose inputs can never produce earlier
+// mail (e.g. no declared senders).
+const maxTime = Time(1<<63 - 1)
+
 // Duration converts a host-time duration into virtual time.
 func Duration(d time.Duration) Time { return Time(d.Nanoseconds()) }
 

@@ -19,6 +19,13 @@ type EventLoop struct {
 	clock Clock
 	heap  []event
 	seq   uint64
+
+	// horizon is the exclusive time bound of the Run or RunBefore in
+	// progress, zero otherwise; woken is the Proc the current event
+	// resumed from its own scheduled wake, nil otherwise. Together they
+	// tell WaitUntil when the loop's next Step would pop its wake.
+	horizon Time
+	woken   *Proc
 }
 
 // event is one heap entry: either a closure (fn) or a pre-bound
@@ -94,7 +101,9 @@ func (l *EventLoop) Reserve(n int) {
 }
 
 // Step pops and runs the earliest event, advancing the clock to its
-// timestamp. It reports whether an event ran.
+// timestamp. It reports whether an event ran. A bare Step runs exactly
+// one event: a Proc it resumes yields back at its next wait, so the
+// caller's code between Steps sees every event boundary.
 func (l *EventLoop) Step() bool {
 	if len(l.heap) == 0 {
 		return false
@@ -130,17 +139,29 @@ func (l *EventLoop) NextTime() (Time, bool) {
 // then stops. Events a callback schedules inside the window run within
 // the same call; afterwards every pending event is at or past limit.
 func (l *EventLoop) RunBefore(limit Time) {
+	l.horizon = limit
 	for len(l.heap) > 0 && l.heap[0].at < limit {
 		l.Step()
 	}
+	l.horizon = 0
 }
 
 // Run processes events until none remain. Procs spawned with Go count
 // as events while runnable, so Run returns only when every process has
 // finished and all completions have drained.
 func (l *EventLoop) Run() {
+	l.horizon = maxTime
 	for l.Step() {
 	}
+	l.horizon = 0
+}
+
+// popsNext reports whether an event scheduled now for time t would be
+// the next one the Run or RunBefore in progress pops: t is before the
+// horizon and strictly before every pending event (one at exactly t
+// was scheduled earlier, so its smaller sequence number runs first).
+func (l *EventLoop) popsNext(t Time) bool {
+	return t < l.horizon && (len(l.heap) == 0 || t < l.heap[0].at)
 }
 
 // less orders events by (time, sequence).
@@ -182,10 +203,10 @@ func (l *EventLoop) down(i int) {
 }
 
 // Proc is a simulated process: a goroutine that runs simulation code
-// and yields control back to the event loop whenever it waits for
-// virtual time to pass or for an external wake-up. Exactly one Proc
-// runs at a time; the loop hands it the baton and blocks until the
-// Proc parks or finishes.
+// and yields control back to the event loop whenever it waits for an
+// external wake-up or for virtual time in which other events come
+// first. Exactly one Proc runs at a time; the loop hands it the baton
+// and blocks until the Proc parks or finishes.
 type Proc struct {
 	loop *EventLoop
 	now  Time
@@ -214,31 +235,60 @@ func (p *Proc) resume() {
 
 // RunEvent implements EventTarget: a scheduled Proc resumes. This is
 // the park/unpark hot path — WaitUntil and Go schedule the Proc
-// itself instead of a fresh closure around resume.
-func (p *Proc) RunEvent() { p.resume() }
+// itself instead of a fresh closure around resume. Nothing in the
+// event runs after the process yields, which is what lets WaitUntil
+// advance this process in place (see there).
+func (p *Proc) RunEvent() {
+	l := p.loop
+	l.woken = p
+	p.resume()
+	l.woken = nil
+}
 
-// Now reports the process's local virtual time. It can run ahead of
-// the loop clock between yields (CPU-only work is accounted locally);
-// it never lags it after a wait.
+// Now reports the process's virtual time: the loop clock when it last
+// resumed or advanced, so it equals Loop().Now() whenever the process
+// runs. CPU-only run-ahead is the caller's to account (the workload
+// engine keeps a per-thread clock and realigns it with WaitUntil).
 func (p *Proc) Now() Time { return p.now }
 
 // Loop exposes the owning event loop.
 func (p *Proc) Loop() *EventLoop { return p.loop }
 
-// WaitUntil parks the process until virtual time t, yielding the baton
-// to the loop. If t is not in the future the call returns immediately
-// without yielding. It returns the process's time afterwards.
+// WaitUntil blocks the process until virtual time t and returns the
+// process's time afterwards. If t is not in the future the call
+// returns at once. Otherwise it schedules its wake-up and yields the
+// baton to the loop — unless the loop's next Step would pop that very
+// wake anyway, in which case it advances the clock to t in place,
+// uses up the wake's sequence number and keeps the baton. That holds
+// only when all of these do:
+//
+//   - the loop resumed this process from its own scheduled event (its
+//     Go start or an earlier wake), not through Unpark, whose caller
+//     must still run at the current instant;
+//   - t is strictly before every pending event;
+//   - t is before the horizon of the Run or RunBefore in progress (a
+//     bare Step runs exactly one event).
+//
+// Events therefore run in the same (time, sequence) order at the same
+// clock either way.
 func (p *Proc) WaitUntil(t Time) Time {
 	if t <= p.now {
 		return p.now
 	}
-	p.loop.ScheduleTarget(t, p)
+	l := p.loop
+	if l.woken == p && l.popsNext(t) {
+		l.seq++
+		l.clock.AdvanceTo(t)
+		p.now = t
+		return t
+	}
+	l.ScheduleTarget(t, p)
 	p.park <- struct{}{}
 	p.now = <-p.wake
 	return p.now
 }
 
-// Sleep parks the process for d of virtual time.
+// Sleep waits for d of virtual time, as WaitUntil(Now()+d).
 func (p *Proc) Sleep(d Time) Time { return p.WaitUntil(p.now + d) }
 
 // Park yields the baton until some event calls Unpark. It returns the

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -161,14 +162,152 @@ func BenchmarkEventLoopScheduleStep(b *testing.B) {
 	}
 }
 
+// TestWaitUntilFastPathBoundaries pins where WaitUntil must still
+// yield the baton. Each trace of label@Now() was captured from the
+// kernel as it was before WaitUntil could advance in place; dropping
+// any one condition of that fast path changes at least one of them.
+func TestWaitUntilFastPathBoundaries(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(l *EventLoop, rec func(string))
+		want string
+	}{{
+		// An event scheduled for exactly t runs before a process that
+		// then waits until t: its sequence number is smaller.
+		name: "event-at-t-runs-first",
+		run: func(l *EventLoop, rec func(string)) {
+			l.Schedule(10, func() { rec("event") })
+			l.Go(0, func(p *Proc) {
+				p.WaitUntil(10)
+				rec("proc")
+			})
+			l.Run()
+		},
+		want: "event@10 proc@10",
+	}, {
+		// A worker that a generator process unparks yields at its
+		// Sleep: the generator's next line still runs at the instant
+		// of the Unpark.
+		name: "process-unparks-process",
+		run: func(l *EventLoop, rec func(string)) {
+			w := l.Go(0, func(p *Proc) {
+				p.Park()
+				rec("worker-woke")
+				p.Sleep(5)
+				rec("worker-slept")
+			})
+			l.Go(0, func(p *Proc) {
+				p.Sleep(10)
+				rec("gen-unpark")
+				w.Unpark()
+				rec("gen-after")
+				p.Sleep(10)
+				rec("gen-done")
+			})
+			l.Run()
+		},
+		want: "gen-unpark@10 worker-woke@10 gen-after@10 worker-slept@15 gen-done@20",
+	}, {
+		// Likewise for a process an event callback unparks: the
+		// callback's code after Unpark sees an unchanged clock.
+		name: "event-unparks-process",
+		run: func(l *EventLoop, rec func(string)) {
+			w := l.Go(0, func(p *Proc) {
+				p.Park()
+				rec("proc-woke")
+				p.Sleep(5)
+				rec("proc-slept")
+			})
+			l.Schedule(10, func() {
+				rec("event-unpark")
+				w.Unpark()
+				rec("event-after")
+			})
+			l.Run()
+		},
+		want: "event-unpark@10 proc-woke@10 event-after@10 proc-slept@15",
+	}, {
+		// RunBefore stops a lone sleeper at its horizon: it returns
+		// before limit with the first wake at or past limit pending.
+		name: "run-before-horizon",
+		run: func(l *EventLoop, rec func(string)) {
+			l.Go(0, func(p *Proc) {
+				for i := 0; i < 5; i++ {
+					p.Sleep(3)
+					rec("proc")
+				}
+			})
+			l.RunBefore(10)
+			next, _ := l.NextTime()
+			rec(fmt.Sprintf("returned next=%d", next))
+			l.Run()
+			rec("done")
+		},
+		want: "proc@3 proc@6 proc@9 returned next=12@9 proc@12 proc@15 done@15",
+	}, {
+		// A bare Step runs exactly one wake of a lone sleeper and
+		// leaves the next one pending, also after an earlier Run.
+		name: "bare-step",
+		run: func(l *EventLoop, rec func(string)) {
+			l.Schedule(0, func() { rec("warm-up") })
+			l.Run()
+			l.Go(0, func(p *Proc) {
+				for i := 0; i < 3; i++ {
+					p.Sleep(4)
+					rec("proc")
+				}
+			})
+			l.Step()
+			rec(fmt.Sprintf("step pending=%d", l.Len()))
+			l.Step()
+			next, _ := l.NextTime()
+			rec(fmt.Sprintf("step next=%d", next))
+			l.Run()
+			rec("done")
+		},
+		want: "warm-up@0 step pending=1@0 proc@4 step next=8@4 proc@8 proc@12 done@12",
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			l := NewEventLoop(0)
+			var trace []string
+			tc.run(l, func(label string) {
+				trace = append(trace, fmt.Sprintf("%s@%d", label, l.Now()))
+			})
+			if got := strings.Join(trace, " "); got != tc.want {
+				t.Errorf("trace\n got %s\nwant %s", got, tc.want)
+			}
+		})
+	}
+}
+
+// BenchmarkProcHandoff times one Sleep that yields the baton: two
+// processes whose wakes interleave, so the other's wake is always due
+// first and every Sleep parks and is resumed by the loop.
 func BenchmarkProcHandoff(b *testing.B) {
 	l := NewEventLoop(0)
-	p := l.Go(0, func(p *Proc) {
+	sleeper := func(n int) func(*Proc) {
+		return func(p *Proc) {
+			for i := 0; i < n; i++ {
+				p.Sleep(2)
+			}
+		}
+	}
+	l.Go(0, sleeper((b.N+1)/2))
+	l.Go(1, sleeper(b.N/2))
+	b.ResetTimer()
+	l.Run()
+}
+
+// BenchmarkProcSleepAlone times one Sleep of a lone process: its wake
+// is always the loop's next event, so WaitUntil advances in place.
+func BenchmarkProcSleepAlone(b *testing.B) {
+	l := NewEventLoop(0)
+	l.Go(0, func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Sleep(1)
 		}
 	})
-	_ = p
 	b.ResetTimer()
 	l.Run()
 }

@@ -62,16 +62,19 @@ func spawnProc(p *Proc, body func(*Proc)) {
 }
 
 // loop is the worker's life: run Proc bodies until the pool is full.
-// The free-list push happens after the park signal, so by the time
-// another Go can pop this worker it is guaranteed to reach the next
-// jobs receive.
+// The free-list push happens before the final park signal, so by the
+// time the loop sees a body finish its worker is back in the pool. A
+// Go on another loop that pops the worker in between only waits on
+// the jobs send until the worker, its signal taken, reaches the
+// receive.
 func (w *procWorker) loop() {
 	for job := range w.jobs {
 		p := job.p
 		p.now = <-p.wake
 		job.body(p)
+		pooled := putProcWorker(w)
 		p.park <- struct{}{}
-		if !putProcWorker(w) {
+		if !pooled {
 			return
 		}
 	}

@@ -146,10 +146,6 @@ func (sl *ShardedLoop) Send(src, dst int, at Time, fn func()) {
 	s.outbox = append(s.outbox, mail{dst: dst, at: at, fn: fn})
 }
 
-// maxTime is the open horizon a shard gets when its inputs can never
-// produce earlier mail (e.g. no declared senders).
-const maxTime = Time(1<<63 - 1)
-
 // Run executes all shards to completion: rounds advance until no
 // shard has a pending event and no mail is in flight. Like
 // EventLoop.Run, procs parked with no arranged wake-up are the
