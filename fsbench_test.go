@@ -133,11 +133,17 @@ func TestPublicAPITraceRoundTrip(t *testing.T) {
 	if err := tr.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ReplayTrace(tr, stack, 7, ReplayAFAP)
+	exp := &Experiment{
+		Name:  "trace-roundtrip",
+		Stack: stack,
+		Trace: &TraceReplay{Tenants: []TraceSource{TraceMemorySource(tr)}, Mode: ReplayAFAP},
+		Seed:  7,
+	}
+	res, err := exp.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Ops == 0 {
+	if res.PerRun[0].Ops == 0 {
 		t.Fatal("replay did nothing")
 	}
 }

@@ -153,49 +153,22 @@ func (c StackConfig) CacheBytesMean() int64 {
 
 // Build instantiates the stack. The rng seeds the device noise, the
 // OS-reserve draw, and the cache policy's randomness; pass a
-// different rng per run.
+// different rng per run. It is BuildSharedDevice's one-shard case.
 func (c StackConfig) Build(rng *sim.RNG) (*vfs.Mount, error) {
-	diskBytes := c.DiskBytes
-	if diskBytes <= 0 {
-		diskBytes = 64 << 30
-	}
-	dev, err := c.buildDevice(diskBytes, rng)
+	mounts, err := c.BuildSharedDevice(rng, 1)
 	if err != nil {
 		return nil, err
 	}
-	fsys, err := c.buildFS(diskBytes)
-	if err != nil {
-		return nil, err
-	}
-
-	// Draw this run's available page-cache size.
-	cacheBytes := c.drawCacheBytes(rng)
-	pol, err := cache.NewPolicy(c.CachePolicy, rng.Split())
-	if err != nil {
-		return nil, err
-	}
-	l1 := cache.New(int(cacheBytes/cache.PageSize), pol)
-	var l2 *cache.Cache
-	if c.L2Bytes > 0 {
-		l2pol, err := cache.NewPolicy(c.CachePolicy, rng.Split())
-		if err != nil {
-			return nil, err
-		}
-		l2 = cache.New(int(c.L2Bytes/cache.PageSize), l2pol)
-	}
-
-	vcfg, err := c.vfsConfig()
-	if err != nil {
-		return nil, err
-	}
-	return vfs.New(fsys, dev, cache.NewHierarchy(l1, l2), vcfg), nil
+	return mounts[0], nil
 }
 
 // BuildSharedDevice instantiates the shared-device sharded stack: ONE
 // device, and n mounts that each get a fresh file-system instance, a
 // 1/n share of this run's page cache (one OS-reserve draw — the
 // shards model one machine, not n), and a 1/n share of any L2 tier.
-// The mounts are ready for workload.NewSharedDeviceEngine.
+// The mounts are ready for workload.NewSharedDeviceEngine. The rng
+// draws come in one order at any n: the device split, the OS-reserve
+// draw, then each mount's L1 and L2 policy splits.
 func (c StackConfig) BuildSharedDevice(rng *sim.RNG, n int) ([]*vfs.Mount, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: shared-device build needs at least one shard")

@@ -1,17 +1,16 @@
 // Package sim provides the primitives every simulated subsystem shares:
-// a virtual clock and a deterministic, seedable random number generator
-// with the distribution samplers the device and workload models need.
+// virtual time, the discrete-event kernel that advances it, and a
+// deterministic, seedable random number generator with the
+// distribution samplers the device and workload models need.
 //
-// All simulated latencies are expressed in virtual nanoseconds and
-// accumulated on a Clock. Nothing in the simulator reads wall-clock
+// All simulated latencies are expressed in virtual nanoseconds, and an
+// EventLoop's clock is the only clock: it moves forward as events
+// fire and never rewinds. Nothing in the simulator reads wall-clock
 // time, which makes every experiment reproducible from its seed and
 // immune to scheduler or GC noise in the host runtime.
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Time is a point in virtual time, in nanoseconds since the start of
 // the simulation. It is deliberately a distinct type from
@@ -40,42 +39,3 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // String formats the virtual time using time.Duration notation.
 func (t Time) String() string { return time.Duration(t).String() }
-
-// Clock is a virtual clock. The zero value is a clock at time zero,
-// ready to use. Clock is not locked: the simulation core hands control
-// to exactly one runnable goroutine at a time — the event loop or the
-// single Proc holding the baton — so clock accesses are already
-// serialized (see DESIGN.md §4.2).
-type Clock struct {
-	now Time
-}
-
-// NewClock returns a clock starting at the given time.
-func NewClock(start Time) *Clock { return &Clock{now: start} }
-
-// Now reports the current virtual time.
-func (c *Clock) Now() Time { return c.now }
-
-// Advance moves the clock forward by d. Advancing by a negative
-// duration panics: virtual time, unlike benchmark results, must be
-// monotone.
-func (c *Clock) Advance(d Time) Time {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: clock advanced by negative duration %d", d))
-	}
-	c.now += d
-	return c.now
-}
-
-// AdvanceTo moves the clock forward to t. It is a no-op if t is in the
-// past; the clock never moves backwards.
-func (c *Clock) AdvanceTo(t Time) Time {
-	if t > c.now {
-		c.now = t
-	}
-	return c.now
-}
-
-// Reset rewinds the clock to zero. Only harness code between runs
-// should call this.
-func (c *Clock) Reset() { c.now = 0 }

@@ -16,9 +16,11 @@ package sim
 // resolve in scheduling order, which makes every run bit-identical
 // regardless of host parallelism or GC behavior.
 type EventLoop struct {
-	clock Clock
-	heap  []event
-	seq   uint64
+	// now is the loop's clock. It never rewinds: NewEventLoop, Step and
+	// WaitUntil's in-place advance only move it forward.
+	now  Time
+	heap []event
+	seq  uint64
 
 	// horizon is the exclusive time bound of the Run or RunBefore in
 	// progress, zero otherwise; woken is the Proc the current event
@@ -49,18 +51,12 @@ type EventTarget interface {
 	RunEvent()
 }
 
-// NewEventLoop returns a loop whose clock starts at the given time.
-func NewEventLoop(start Time) *EventLoop {
-	l := &EventLoop{}
-	l.clock.AdvanceTo(start)
-	return l
-}
+// NewEventLoop returns a loop whose clock starts at the given time
+// (at zero if start is negative).
+func NewEventLoop(start Time) *EventLoop { return &EventLoop{now: max(start, 0)} }
 
 // Now reports the loop's current virtual time.
-func (l *EventLoop) Now() Time { return l.clock.Now() }
-
-// Clock exposes the loop's clock (read-only use expected).
-func (l *EventLoop) Clock() *Clock { return &l.clock }
+func (l *EventLoop) Now() Time { return l.now }
 
 // Len reports the number of pending events.
 func (l *EventLoop) Len() int { return len(l.heap) }
@@ -68,8 +64,8 @@ func (l *EventLoop) Len() int { return len(l.heap) }
 // Schedule enqueues fn to run at virtual time at. Times in the past
 // are clamped to now: an event can never rewind the clock.
 func (l *EventLoop) Schedule(at Time, fn func()) {
-	if at < l.clock.Now() {
-		at = l.clock.Now()
+	if at < l.now {
+		at = l.now
 	}
 	l.heap = append(l.heap, event{at: at, seq: l.seq, fn: fn})
 	l.seq++
@@ -80,8 +76,8 @@ func (l *EventLoop) Schedule(at Time, fn func()) {
 // with the same past-clamping as Schedule but without allocating a
 // closure. With a Reserved heap the call is allocation-free.
 func (l *EventLoop) ScheduleTarget(at Time, tgt EventTarget) {
-	if at < l.clock.Now() {
-		at = l.clock.Now()
+	if at < l.now {
+		at = l.now
 	}
 	l.heap = append(l.heap, event{at: at, seq: l.seq, tgt: tgt})
 	l.seq++
@@ -116,7 +112,7 @@ func (l *EventLoop) Step() bool {
 	if n > 0 {
 		l.down(0)
 	}
-	l.clock.AdvanceTo(ev.at)
+	l.now = max(l.now, ev.at)
 	if ev.tgt != nil {
 		ev.tgt.RunEvent()
 	} else {
@@ -278,7 +274,7 @@ func (p *Proc) WaitUntil(t Time) Time {
 	l := p.loop
 	if l.woken == p && l.popsNext(t) {
 		l.seq++
-		l.clock.AdvanceTo(t)
+		l.now = max(l.now, t)
 		p.now = t
 		return t
 	}

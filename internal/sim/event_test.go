@@ -53,6 +53,9 @@ func TestEventLoopClampsPast(t *testing.T) {
 	if !ran {
 		t.Fatal("past-scheduled event never ran")
 	}
+	if got := NewEventLoop(-5).Now(); got != 0 {
+		t.Errorf("loop created at -5 starts at %v, want 0", got)
+	}
 }
 
 func TestEventLoopCascade(t *testing.T) {

@@ -7,55 +7,6 @@ import (
 	"time"
 )
 
-func TestClockZeroValue(t *testing.T) {
-	var c Clock
-	if c.Now() != 0 {
-		t.Fatalf("zero clock Now() = %d, want 0", c.Now())
-	}
-}
-
-func TestClockAdvance(t *testing.T) {
-	c := NewClock(0)
-	c.Advance(5 * Second)
-	if got := c.Now(); got != 5*Second {
-		t.Fatalf("Now() = %v, want 5s", got)
-	}
-	c.Advance(0)
-	if got := c.Now(); got != 5*Second {
-		t.Fatalf("Advance(0) moved the clock: %v", got)
-	}
-}
-
-func TestClockAdvanceNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Advance(-1) did not panic")
-		}
-	}()
-	NewClock(0).Advance(-1)
-}
-
-func TestClockAdvanceTo(t *testing.T) {
-	c := NewClock(10 * Second)
-	c.AdvanceTo(5 * Second) // in the past: no-op
-	if got := c.Now(); got != 10*Second {
-		t.Fatalf("AdvanceTo(past) moved clock backwards to %v", got)
-	}
-	c.AdvanceTo(20 * Second)
-	if got := c.Now(); got != 20*Second {
-		t.Fatalf("AdvanceTo(future) = %v, want 20s", got)
-	}
-}
-
-func TestClockReset(t *testing.T) {
-	c := NewClock(0)
-	c.Advance(Minute)
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatalf("Reset did not rewind clock: %v", c.Now())
-	}
-}
-
 func TestDurationConversion(t *testing.T) {
 	if got := Duration(1500 * time.Millisecond); got != 1500*Millisecond {
 		t.Fatalf("Duration conversion = %v", got)

@@ -65,7 +65,7 @@ func benchReplay(b *testing.B, mode ReplayMode) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := eng.Run(start, replayHorizon); err != nil {
+		if _, err := eng.Run(start, noHorizon); err != nil {
 			b.Fatal(err)
 		}
 		if got := eng.Counter().Ops + eng.Counter().Errors; got != benchRecords {

@@ -11,32 +11,30 @@ import (
 // The invariants under fuzz: never panic, never allocate proportional
 // to a length the input merely claims, and on a successful parse the
 // records survive a re-encode/re-decode round trip. Corrupt varints,
-// negative time deltas, and truncated path tables must all surface as
-// errors, not as silently wrong traces.
+// overflowing times, dangling path references, and truncated frames
+// must all surface as errors, not as silently wrong traces.
 func FuzzTraceReadBinary(f *testing.F) {
-	// Seed corpus: well-formed v2 and v1 streams plus targeted
-	// corruptions of each.
-	v2 := func() []byte {
-		var buf bytes.Buffer
-		t := &Trace{Records: []Record{
-			{At: 0, Kind: workload.OpCreate, Path: "/t/a", Owner: 0, Stream: 0},
-			{At: 1000, Kind: workload.OpWriteSeq, Path: "/t/a", Size: 8192, Owner: 1, Stream: 1},
-			{At: 5000, Kind: workload.OpReadRand, Path: "/t/b", Offset: 4096, Size: 2048, Owner: 0, Stream: 0},
-		}}
-		t.WriteBinary(&buf)
-		return buf.Bytes()
-	}()
-	v1 := encodeV1([]Record{
-		{At: 2000, Kind: workload.OpCreate, Path: "/a"},
-		{At: 1000, Kind: workload.OpWriteSeq, Path: "/a", Size: 4096},
-	})
+	// Seed corpus: a well-formed v2 stream plus targeted corruptions.
+	var buf bytes.Buffer
+	(&Trace{Records: []Record{
+		{At: 0, Kind: workload.OpCreate, Path: "/t/a", Owner: 0, Stream: 0},
+		{At: 1000, Kind: workload.OpWriteSeq, Path: "/t/a", Size: 8192, Owner: 1, Stream: 1},
+		{At: 5000, Kind: workload.OpReadRand, Path: "/t/b", Offset: 4096, Size: 2048, Owner: 0, Stream: 0},
+	}}).WriteBinary(&buf)
+	v2 := buf.Bytes()
+	frames := func(b ...byte) []byte { return append(append([]byte{}, magicV2[:]...), b...) }
 	f.Add(v2)
-	f.Add(v1)
 	f.Add(v2[:len(v2)/2])
-	f.Add(v1[:len(v1)/2])
 	f.Add([]byte("FSBT"))
-	f.Add(append(append([]byte{}, magicV2[:]...), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01))
-	f.Add(append(append([]byte{}, magicV1[:]...), 0xff, 0xff, 0xff, 0xff, 0x0f))
+	// A ten-byte tag varint, the longest a uvarint can be, naming no
+	// frame.
+	f.Add(frames(0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01))
+	// A path frame claiming a ~2^60-byte path.
+	f.Add(frames(framePath, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10))
+	// A record referencing a path the dictionary does not hold.
+	f.Add(frames(frameRecord, 0, 0, 5))
+	// An end frame whose count disagrees with the records seen.
+	f.Add(frames(frameEnd, 9))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ReadBinary(bytes.NewReader(data))

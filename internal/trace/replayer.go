@@ -159,8 +159,6 @@ type Engine struct {
 	probe   *workload.Probe
 	counter metrics.Counter
 	load    metrics.LoadGauge
-	errHist *metrics.Histogram
-	maxLag  sim.Time
 	runErr  error
 }
 
@@ -173,7 +171,7 @@ func NewEngine(m *vfs.Mount, cfg EngineConfig) (*Engine, error) {
 	if cfg.MaxOpenFDs <= 0 {
 		cfg.MaxOpenFDs = maxOpenFDsDefault
 	}
-	e := &Engine{m: m, cfg: cfg, errHist: &metrics.Histogram{}}
+	e := &Engine{m: m, cfg: cfg}
 	owner := 0
 	for k, src := range cfg.Tenants {
 		sc, err := ScanSource(src)
@@ -210,16 +208,6 @@ func (e *Engine) Counter() metrics.Counter { return e.counter }
 // completes everything it offers by construction, which is precisely
 // how it hides saturation.
 func (e *Engine) Load() metrics.LoadGauge { return e.load }
-
-// MaxLag is the worst service-start delay behind the (scaled)
-// recorded schedule — how far the replayed system fell behind the
-// traced one.
-func (e *Engine) MaxLag() sim.Time { return e.maxLag }
-
-// ErrorHist is the latency histogram of operations that failed,
-// measured from arrival to the failure return — errored ops are
-// accounted, not vanished.
-func (e *Engine) ErrorHist() *metrics.Histogram { return e.errHist }
 
 // Workers reports the total stream-worker count across tenants (the
 // engine's OwnerID space; owners are dense in [0, Workers)).
@@ -299,12 +287,46 @@ func (e *Engine) DropCaches() {
 // per stream plus one dispatcher per tenant in timed/scaled modes —
 // so results are bit-identical at any host parallelism.
 func (e *Engine) Run(from, until sim.Time) (sim.Time, error) {
-	loop := sim.NewEventLoop(from)
-	if err := e.m.BeginEvents(loop); err != nil {
+	// Iterators open before the mount enters event mode, so open errors
+	// are synchronous and leave nothing to unwind but the iterators:
+	// BeginEvents spawns the write-back daemon's proc, which only a loop
+	// that runs can retire. afap gives each stream its own filtered
+	// iterator, timed/scaled one shared iterator per tenant dispatcher.
+	open := e.cfg.Mode != AFAP
+	type start struct {
+		tn *tenant
+		st *stream // the afap stream; nil for a tenant's dispatcher
+		it Iterator
+	}
+	var starts []start
+	fail := func(err error) (sim.Time, error) {
+		for _, s := range starts {
+			s.it.Close()
+		}
 		return from, err
 	}
+	for _, tn := range e.tenants {
+		if open {
+			it, err := tn.src.Open()
+			if err != nil {
+				return fail(err)
+			}
+			starts = append(starts, start{tn: tn, it: it})
+			continue
+		}
+		for _, st := range tn.streams {
+			it, err := tn.src.Open()
+			if err != nil {
+				return fail(err)
+			}
+			starts = append(starts, start{tn: tn, st: st, it: it})
+		}
+	}
+	loop := sim.NewEventLoop(from)
+	if err := e.m.BeginEvents(loop); err != nil {
+		return fail(err)
+	}
 	e.runErr = nil
-	open := e.cfg.Mode != AFAP
 	procs := e.workers
 	if open {
 		procs += len(e.tenants)
@@ -319,54 +341,12 @@ func (e *Engine) Run(from, until sim.Time) (sim.Time, error) {
 			e.m.StopWriteback()
 		}
 	}
-	// Iterators open before the loop runs so open errors are
-	// synchronous; afap gives each stream its own filtered iterator,
-	// timed/scaled one shared iterator per tenant dispatcher.
-	var iters []Iterator
-	fail := func(err error) (sim.Time, error) {
-		for _, it := range iters {
-			it.Close()
-		}
-		e.m.EndEvents()
-		e.m.StopWriteback()
-		return from, err
-	}
-	type afapStart struct {
-		st *stream
-		it Iterator
-	}
-	var afapStarts []afapStart
-	type dispatchStart struct {
-		tn *tenant
-		it Iterator
-	}
-	var dispatchStarts []dispatchStart
-	for _, tn := range e.tenants {
-		if open {
-			it, err := tn.src.Open()
-			if err != nil {
-				return fail(err)
-			}
-			iters = append(iters, it)
-			dispatchStarts = append(dispatchStarts, dispatchStart{tn, it})
-			continue
-		}
-		for _, st := range tn.streams {
-			it, err := tn.src.Open()
-			if err != nil {
-				return fail(err)
-			}
-			iters = append(iters, it)
-			afapStarts = append(afapStarts, afapStart{st, it})
-		}
-	}
 	// Workers spawn before dispatchers so every stream is parked on
 	// its queue before the first arrival fires.
 	for _, tn := range e.tenants {
 		for _, st := range tn.streams {
 			st.now = from
 			if open {
-				st := st
 				loop.Go(from, func(p *sim.Proc) {
 					defer finish()
 					st.proc = p
@@ -375,24 +355,20 @@ func (e *Engine) Run(from, until sim.Time) (sim.Time, error) {
 			}
 		}
 	}
-	for _, as := range afapStarts {
-		as := as
+	for _, s := range starts {
 		loop.Go(from, func(p *sim.Proc) {
 			defer finish()
-			e.afapWorker(p, as.st, as.it, until)
-		})
-	}
-	for _, ds := range dispatchStarts {
-		ds := ds
-		loop.Go(from, func(p *sim.Proc) {
-			defer finish()
-			e.dispatch(p, ds.tn, ds.it, from, until)
+			if s.st != nil {
+				e.afapWorker(p, s.st, s.it, until)
+			} else {
+				e.dispatch(p, s.tn, s.it, from, until)
+			}
 		})
 	}
 	loop.Run()
 	e.m.EndEvents()
-	for _, it := range iters {
-		it.Close()
+	for _, s := range starts {
+		s.it.Close()
 	}
 	var end sim.Time
 	for _, tn := range e.tenants {
@@ -487,9 +463,6 @@ func (e *Engine) streamWorker(p *sim.Proc, st *stream, until sim.Time) {
 		p.WaitUntil(st.now)
 		e.m.SetProc(p, st.owner+1)
 		st.arrival = j.at
-		if lag := st.now - j.at; lag > e.maxLag {
-			e.maxLag = lag
-		}
 		if err := e.exec(st, j.rec); err != nil {
 			if e.runErr == nil {
 				e.runErr = err
@@ -607,8 +580,8 @@ func (e *Engine) openOrCreate(st *stream, at sim.Time, path string) (*vfs.FD, si
 
 // exec replays one record on its stream. Benign errors (a stat on a
 // path the capture deleted, a read racing the trace's own unlink) are
-// counted and histogrammed, advancing the clock to the actual failure
-// return; only an unreplayable record kind is fatal.
+// counted, advancing the clock to the actual failure return; only an
+// unreplayable record kind is fatal.
 func (e *Engine) exec(st *stream, rec Record) error {
 	issue := st.now
 	path := st.tn.prefix + rec.Path
@@ -683,15 +656,9 @@ func (e *Engine) exec(st *stream, rec Record) error {
 	}
 	if err != nil {
 		// Errored ops are accounted, not vanished: the clock advances
-		// to the failure return (vfs ops report how far they got) and
-		// the arrival-to-failure latency lands in the error histogram.
+		// to the failure return (vfs ops report how far they got).
 		e.counter.Errors++
-		fail := done
-		if fail < issue {
-			fail = issue
-		}
-		e.errHist.Record(fail - st.arrival)
-		st.now = fail
+		st.now = max(done, issue)
 		return nil
 	}
 	if done < issue {
@@ -702,66 +669,4 @@ func (e *Engine) exec(st *stream, rec Record) error {
 	e.probe.Observe(st.owner, rec.Kind, path, rec.Offset, moved, st.arrival, done)
 	st.now = done
 	return nil
-}
-
-// --- one-shot replay ---------------------------------------------------
-
-// ReplayResult summarizes a one-shot replay.
-type ReplayResult struct {
-	Ops    int64
-	Errors int64
-	Start  sim.Time
-	End    sim.Time
-	Hist   *metrics.Histogram
-	// ErrHist is the arrival-to-failure latency of errored ops.
-	ErrHist *metrics.Histogram
-	// PerOwner is the per-stream service split (owner = stream index).
-	PerOwner *metrics.PerOwner
-	// Load is the offered/completed gauge (zero-valued under AFAP).
-	Load metrics.LoadGauge
-	// MaxLag is the worst queueing delay behind the recorded schedule
-	// (timed/scaled modes) — how far the replayed system fell behind
-	// the traced one.
-	MaxLag sim.Time
-}
-
-// Throughput reports replayed ops/sec.
-func (r ReplayResult) Throughput() float64 {
-	d := (r.End - r.Start).Seconds()
-	if d <= 0 {
-		return 0
-	}
-	return float64(r.Ops) / d
-}
-
-// replayHorizon is "no horizon": far enough out that any replay
-// exhausts its trace first.
-const replayHorizon = sim.Time(1) << 62
-
-// Replay runs the whole trace against m starting at virtual time
-// start, on the event kernel, with no horizon — every record is
-// offered and serviced. The namespace the capture assumed is
-// reconstructed first (Engine.Setup); replay begins when it is built.
-func Replay(t *Trace, m *vfs.Mount, start sim.Time, mode ReplayMode) (ReplayResult, error) {
-	eng, err := NewEngine(m, EngineConfig{Mode: mode, Tenants: []Source{MemorySource(t)}})
-	if err != nil {
-		return ReplayResult{}, err
-	}
-	start, err = eng.Setup(start)
-	if err != nil {
-		return ReplayResult{}, err
-	}
-	res := ReplayResult{Start: start, Hist: &metrics.Histogram{}, PerOwner: &metrics.PerOwner{}}
-	eng.SetProbe(&workload.Probe{Hist: res.Hist, PerOwner: res.PerOwner})
-	end, err := eng.Run(start, replayHorizon)
-	if err != nil {
-		return ReplayResult{}, err
-	}
-	res.End = end
-	res.Ops = eng.Counter().Ops
-	res.Errors = eng.Counter().Errors
-	res.ErrHist = eng.ErrorHist()
-	res.Load = eng.Load()
-	res.MaxLag = eng.MaxLag()
-	return res, nil
 }

@@ -30,14 +30,11 @@ import (
 //	        records seen. A stream that ends without the end frame is
 //	        truncated and fails loudly.
 //
-// Unlike v1 there is no up-front path table or record count, so a
-// writer can stream records as they happen and a reader never
-// allocates proportionally to a length claimed by the input — the
-// property the decoder fuzzer locks in.
+// There is no up-front path table or record count, so a writer can
+// stream records as they happen and a reader never allocates
+// proportionally to a length claimed by the input — the property the
+// decoder fuzzer locks in.
 var magicV2 = [5]byte{'F', 'S', 'B', 'T', 2}
-
-// magicV1 identifies the legacy materialized format (kept readable).
-var magicV1 = [5]byte{'F', 'S', 'B', 'T', 1}
 
 // Frame tags.
 const (
@@ -46,8 +43,8 @@ const (
 	framePath   = 2
 )
 
-// Decoder guards, shared by both versions: implausible sizes fail
-// loudly before any allocation depends on them.
+// Decoder guards: implausible sizes fail loudly before any allocation
+// depends on them.
 const (
 	maxPaths   = 1 << 24
 	maxPathLen = 4096
@@ -66,8 +63,9 @@ type Writer struct {
 	vbuf    [binary.MaxVarintLen64]byte // reused: varints must not allocate per record
 }
 
-// NewWriter starts a v2 stream on w (the magic is written lazily with
-// the first record so a failed open leaves no partial header).
+// NewWriter starts a v2 stream on w. The magic goes into the write
+// buffer at once and reaches w with the first flush, at the latest on
+// Close.
 func NewWriter(w io.Writer) *Writer {
 	bw := bufio.NewWriter(w)
 	tw := &Writer{bw: bw, pathIdx: make(map[string]uint64)}
@@ -154,81 +152,33 @@ func (w *Writer) Close() error {
 	return w.bw.Flush()
 }
 
-// Reader streams records out of either FSBT version in bounded
-// memory: state is the path dictionary (O(distinct paths), inherent
-// to both formats) plus fixed-size cursors — never O(records).
+// Reader streams records out of an FSBT v2 stream in bounded memory:
+// state is the path dictionary (O(distinct paths), inherent to the
+// format) plus fixed-size cursors — never O(records).
 type Reader struct {
-	br      *bufio.Reader
-	version int
-	paths   []string
-	at      sim.Time
-	n       uint64
-	done    bool
-
-	// v1 cursor: the record count the header promised.
-	v1Left uint64
+	br    *bufio.Reader
+	paths []string
+	at    sim.Time
+	n     uint64
+	done  bool
 }
 
-// OpenReader sniffs the magic and prepares a streaming reader.
+// OpenReader checks the magic and prepares a streaming reader. An
+// FSBT header with any version byte other than 2 fails with an error
+// naming that version.
 func OpenReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReader(r)
 	var m [5]byte
 	if _, err := io.ReadFull(br, m[:]); err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", err)
 	}
-	tr := &Reader{br: br}
-	switch m {
-	case magicV1:
-		tr.version = 1
-		if err := tr.readV1Header(); err != nil {
-			return nil, err
-		}
-	case magicV2:
-		tr.version = 2
-	default:
-		return nil, errors.New("trace: bad magic (not an FSBT trace)")
+	switch {
+	case m == magicV2:
+		return &Reader{br: br}, nil
+	case string(m[:4]) == "FSBT":
+		return nil, fmt.Errorf("trace: unsupported FSBT version %d (only version 2 is readable)", m[4])
 	}
-	return tr, nil
-}
-
-// Version reports the format version being read (1 or 2).
-func (r *Reader) Version() int { return r.version }
-
-// readV1Header consumes v1's up-front path table and record count.
-// Allocation grows with bytes actually read, not with the declared
-// counts: a tiny corrupt input claiming 2^24 paths fails at the
-// first missing byte without reserving anything.
-func (r *Reader) readV1Header() error {
-	nPaths, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		return truncated(err)
-	}
-	if nPaths > maxPaths {
-		return fmt.Errorf("trace: implausible path count %d", nPaths)
-	}
-	for i := uint64(0); i < nPaths; i++ {
-		n, err := binary.ReadUvarint(r.br)
-		if err != nil {
-			return truncated(err)
-		}
-		if n > maxPathLen {
-			return fmt.Errorf("trace: implausible path length %d", n)
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(r.br, b); err != nil {
-			return truncated(err)
-		}
-		r.paths = append(r.paths, string(b))
-	}
-	nRecs, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		return truncated(err)
-	}
-	if nRecs > maxRecords {
-		return fmt.Errorf("trace: implausible record count %d", nRecs)
-	}
-	r.v1Left = nRecs
-	return nil
+	return nil, errors.New("trace: bad magic (not an FSBT trace)")
 }
 
 // truncated maps a mid-structure EOF to an explicit error: a clean
@@ -246,55 +196,6 @@ func (r *Reader) Next() (Record, error) {
 	if r.done {
 		return Record{}, io.EOF
 	}
-	if r.version == 1 {
-		return r.nextV1()
-	}
-	return r.nextV2()
-}
-
-func (r *Reader) nextV1() (Record, error) {
-	if r.v1Left == 0 {
-		r.done = true
-		return Record{}, io.EOF
-	}
-	d, err := binary.ReadVarint(r.br)
-	if err != nil {
-		return Record{}, truncated(err)
-	}
-	// v1 capture order is completion order, so deltas may be negative;
-	// an absolute time below zero is corrupt in any order.
-	r.at += sim.Time(d)
-	if r.at < 0 {
-		return Record{}, fmt.Errorf("trace: record time underflows to %d", int64(r.at))
-	}
-	kind, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		return Record{}, truncated(err)
-	}
-	pi, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		return Record{}, truncated(err)
-	}
-	if pi >= uint64(len(r.paths)) {
-		return Record{}, fmt.Errorf("trace: record references path %d of %d", pi, len(r.paths))
-	}
-	off, err := binary.ReadVarint(r.br)
-	if err != nil {
-		return Record{}, truncated(err)
-	}
-	size, err := binary.ReadVarint(r.br)
-	if err != nil {
-		return Record{}, truncated(err)
-	}
-	r.v1Left--
-	r.n++
-	return Record{
-		At: r.at, Kind: workload.OpKind(kind), Path: r.paths[pi],
-		Offset: off, Size: size,
-	}, nil
-}
-
-func (r *Reader) nextV2() (Record, error) {
 	for {
 		tag, err := binary.ReadUvarint(r.br)
 		if err != nil {
@@ -383,19 +284,6 @@ func (r *Reader) nextV2() (Record, error) {
 	}
 }
 
-// Convert upgrades a v1 (or v2) trace on r to v2 on w. v1 traces are
-// completion-ordered, so conversion materializes and stably sorts by
-// submission time — acceptable for the legacy format, whose traces
-// were in-memory to begin with. The content digest is
-// order-insensitive, so it survives the conversion.
-func Convert(r io.Reader, w io.Writer) error {
-	t, err := ReadBinary(r)
-	if err != nil {
-		return err
-	}
-	return t.WriteBinary(w)
-}
-
 // --- sources -----------------------------------------------------------
 
 // Iterator streams records; Next returns io.EOF at a clean end.
@@ -414,9 +302,9 @@ type Source interface {
 // fileSource streams a trace file.
 type fileSource struct{ path string }
 
-// FileSource returns a Source reading the FSBT trace file at path
-// (either version). Records stream straight off disk: replaying a
-// million-record file never builds a []Record.
+// FileSource returns a Source reading the FSBT v2 trace file at path.
+// Records stream straight off disk: replaying a million-record file
+// never builds a []Record.
 func FileSource(path string) Source { return fileSource{path} }
 
 type fileIterator struct {
@@ -494,11 +382,9 @@ type Scan struct {
 	// them, sorted.
 	Dirs []string
 	// Digest identifies the trace content: an order-insensitive hash
-	// over every record's canonical fields. Insensitivity to record
-	// order makes the digest survive the v1 (completion-ordered) to
-	// v2 (submission-ordered) conversion: same operations, same
-	// digest, so warehouse baselines recorded against a converted
-	// trace still match.
+	// over every record's canonical fields. Warehouse fingerprints key
+	// traced runs by what was replayed, not by record order, and the
+	// records already archived carry digests of this exact algorithm.
 	Digest string
 }
 

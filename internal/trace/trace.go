@@ -7,19 +7,14 @@
 // available"). This package makes traces a first-class artifact: a
 // compact streaming binary format (FSBT v2) that carries requester
 // identity and scales to millions of records without materializing
-// them, a human-readable text format, and an event-kernel replay
-// engine with selectable timing disciplines (timed / afap / scaled)
-// and multi-tenant merge. The legacy FSBT v1 format stays readable;
-// Convert upgrades v1 files in place.
+// them, and an event-kernel replay engine with selectable timing
+// disciplines (timed / afap / scaled) and multi-tenant merge, which
+// core.Experiment drives like any other workload source.
 package trace
 
 import (
-	"bufio"
-	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -34,12 +29,12 @@ type Record struct {
 	Size   int64
 	// Owner is the requester identity the operation was captured
 	// under (the recording engine's thread OwnerID). Replay under
-	// multi-tenant merge re-bases it per tenant; v1 traces carry 0.
+	// multi-tenant merge re-bases it per tenant.
 	Owner int
 	// Stream is the logical submission stream the record belongs to
 	// (the recorded thread): replay serializes records of one stream
 	// and lets distinct streams contend, which is what preserves the
-	// captured concurrency structure. v1 traces carry 0 (one stream).
+	// captured concurrency structure.
 	Stream int
 }
 
@@ -125,10 +120,9 @@ func (t *Trace) WriteBinary(w io.Writer) error {
 	return tw.Close()
 }
 
-// ReadBinary decodes a binary trace (either FSBT version) into
-// memory. The replay path does not use it — Engine streams through a
-// Reader — but in-memory traces remain convenient for tests and
-// conversion.
+// ReadBinary decodes an FSBT v2 trace into memory. The replay path
+// does not use it — Engine streams through a Reader — but in-memory
+// traces remain convenient for tests.
 func ReadBinary(r io.Reader) (*Trace, error) {
 	tr, err := OpenReader(r)
 	if err != nil {
@@ -145,71 +139,4 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		}
 		t.Records = append(t.Records, rec)
 	}
-}
-
-// --- text codec --------------------------------------------------------
-
-// WriteText encodes one record per line:
-// "at_ns kind path offset size owner stream".
-func (t *Trace) WriteText(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, rec := range t.Records {
-		if _, err := fmt.Fprintf(bw, "%d %s %s %d %d %d %d\n",
-			int64(rec.At), rec.Kind, rec.Path, rec.Offset, rec.Size,
-			rec.Owner, rec.Stream); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadText parses the text format. Five-field lines (the pre-identity
-// format) are accepted with owner and stream zero.
-func ReadText(r io.Reader) (*Trace, error) {
-	t := &Trace{}
-	sc := bufio.NewScanner(r)
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 5 && len(fields) != 7 {
-			return nil, fmt.Errorf("trace line %d: want 5 or 7 fields, got %d", lineno, len(fields))
-		}
-		at, err := strconv.ParseInt(fields[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace line %d: %v", lineno, err)
-		}
-		kind, err := workload.ParseOpKind(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("trace line %d: %v", lineno, err)
-		}
-		off, err := strconv.ParseInt(fields[3], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace line %d: %v", lineno, err)
-		}
-		size, err := strconv.ParseInt(fields[4], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace line %d: %v", lineno, err)
-		}
-		rec := Record{
-			At: sim.Time(at), Kind: kind, Path: fields[2], Offset: off, Size: size,
-		}
-		if len(fields) == 7 {
-			owner, err := strconv.Atoi(fields[5])
-			if err != nil {
-				return nil, fmt.Errorf("trace line %d: %v", lineno, err)
-			}
-			stream, err := strconv.Atoi(fields[6])
-			if err != nil {
-				return nil, fmt.Errorf("trace line %d: %v", lineno, err)
-			}
-			rec.Owner, rec.Stream = owner, stream
-		}
-		t.Records = append(t.Records, rec)
-	}
-	return t, sc.Err()
 }

@@ -66,44 +66,6 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestTextRoundTrip(t *testing.T) {
-	orig := sampleTrace()
-	var buf bytes.Buffer
-	if err := orig.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Records) != len(orig.Records) {
-		t.Fatalf("records = %d", len(got.Records))
-	}
-	for i := range got.Records {
-		if got.Records[i] != orig.Records[i] {
-			t.Errorf("record %d = %+v, want %+v", i, got.Records[i], orig.Records[i])
-		}
-	}
-}
-
-func TestTextRejectsBadLines(t *testing.T) {
-	for _, src := range []string{
-		"123 read-rand /p",       // too few fields
-		"abc read-rand /p 0 10",  // bad time
-		"0 warp /p 0 10",         // bad kind
-		"0 read-rand /p zero 10", // bad offset
-	} {
-		if _, err := ReadText(strings.NewReader(src)); err == nil {
-			t.Errorf("accepted %q", src)
-		}
-	}
-	// Comments and blanks are fine.
-	tr, err := ReadText(strings.NewReader("# comment\n\n0 stat /p 0 0\n"))
-	if err != nil || len(tr.Records) != 1 {
-		t.Fatalf("comment handling broken: %v %v", tr, err)
-	}
-}
-
 func TestBinaryRoundTripProperty(t *testing.T) {
 	f := func(times []uint32, kinds []uint8, offs []int32) bool {
 		n := len(times)
@@ -180,34 +142,18 @@ func TestRecorderCapturesWorkload(t *testing.T) {
 func TestReplayRoundTrip(t *testing.T) {
 	// Record a workload, replay it on a fresh stack, compare op
 	// counts.
-	m := testMount(t)
-	w := workload.FileServer(20, 32<<10, 1)
-	eng, _ := workload.NewEngine(m, w, 3)
-	rec := NewRecorder()
-	eng.SetProbe(&workload.Probe{Trace: rec.Hook()})
-	start, err := eng.Setup(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(start, start+2*sim.Second); err != nil {
-		t.Fatal(err)
-	}
-	tr := rec.Trace()
-
-	fresh := testMount(t)
-	res, err := Replay(tr, fresh, 0, AFAP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ops+res.Errors != int64(len(tr.Records)) {
-		t.Errorf("replayed %d+%d of %d records", res.Ops, res.Errors, len(tr.Records))
+	tr := captureFileServer(t, 1)
+	r := runEngine(t, EngineConfig{Mode: AFAP, Tenants: []Source{MemorySource(tr)}}, noHorizon)
+	c := r.eng.Counter()
+	if c.Ops+c.Errors != int64(len(tr.Records)) {
+		t.Errorf("replayed %d+%d of %d records", c.Ops, c.Errors, len(tr.Records))
 	}
 	// FileServer traces touch files created before the trace window;
 	// the replayer creates them on demand, so errors should be rare.
-	if res.Errors > res.Ops/4 {
-		t.Errorf("too many replay errors: %d of %d", res.Errors, len(tr.Records))
+	if c.Errors > c.Ops/4 {
+		t.Errorf("too many replay errors: %d of %d", c.Errors, len(tr.Records))
 	}
-	if res.Hist.Count() == 0 {
+	if r.hist.Count() == 0 {
 		t.Error("replay recorded no latencies")
 	}
 }
@@ -217,24 +163,17 @@ func TestReplayTimedRespectsSchedule(t *testing.T) {
 		{At: 0, Kind: workload.OpCreate, Path: "/a"},
 		{At: sim.Time(2 * sim.Second), Kind: workload.OpStat, Path: "/a"},
 	}}
-	m := testMount(t)
-	res, err := Replay(tr, m, 0, Timed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.End < 2*sim.Second {
-		t.Errorf("timed replay finished at %v, before the last record's schedule", res.End)
+	timed := runEngine(t, EngineConfig{Mode: Timed, Tenants: []Source{MemorySource(tr)}}, noHorizon)
+	if got := timed.end - timed.start; got < 2*sim.Second {
+		t.Errorf("timed replay took %v, less than the last record's schedule", got)
 	}
 	// AFAP ignores the gap.
-	m2 := testMount(t)
-	res2, err := Replay(tr, m2, 0, AFAP)
-	if err != nil {
-		t.Fatal(err)
+	afap := runEngine(t, EngineConfig{Mode: AFAP, Tenants: []Source{MemorySource(tr)}}, noHorizon)
+	if got := afap.end - afap.start; got >= 2*sim.Second {
+		t.Errorf("AFAP replay took %v, should ignore schedule", got)
 	}
-	if res2.End >= 2*sim.Second {
-		t.Errorf("AFAP replay took %v, should ignore schedule", res2.End)
-	}
-	if res2.Throughput() <= res.Throughput() {
+	tput := func(r engineRun) float64 { return float64(r.eng.Counter().Ops) / (r.end - r.start).Seconds() }
+	if tput(afap) <= tput(timed) {
 		t.Error("AFAP not faster than timed replay")
 	}
 }

@@ -63,8 +63,7 @@ func TestFingerprintSeesTrace(t *testing.T) {
 }
 
 // TestFingerprintDigestIsContentOnly: the same records in a different
-// submission order (as a v1 capture and its sorted v2 conversion
-// would hold them) must pool under one fingerprint — the digest is an
+// submission order must pool under one fingerprint — the digest is an
 // order-insensitive content hash, not a byte hash of the file.
 func TestFingerprintDigestIsContentOnly(t *testing.T) {
 	a := traceExperiment(trace.Timed, 0, 1)
