@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	fsbench "repro"
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/warehouse"
@@ -43,7 +44,7 @@ func main() {
 		policy       = flag.String("policy", "lru", "cache eviction policy: lru, fifo, clock, random, 2q, arc")
 		queueDepth   = flag.Int("queue-depth", 0, "device queue reorder window (0 = 32; 1 disables reordering)")
 		sched        = flag.String("sched", "", "I/O scheduler: fcfs, elevator, ncq, cfq (default elevator)")
-		readahead    = flag.String("readahead", "", "readahead override: none, fixed, adaptive (default: FS hint)")
+		readahead    = flag.String("readahead", "", "readahead override: "+strings.Join(cache.ReadaheadNames(), ", ")+" (default: FS hint)")
 		l2MB         = flag.Int64("l2", 0, "flash second-tier cache in MB (0 = none)")
 		arrival      = flag.String("arrival", "", "override every thread class's arrival process: closed, poisson, uniform, burst (default: the workload's own)")
 		rate         = flag.Float64("rate", 0, "offered ops/sec per thread class for open-loop arrivals (with -arrival)")

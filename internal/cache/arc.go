@@ -1,26 +1,17 @@
 package cache
 
-import "container/list"
-
 // ARC implements the Adaptive Replacement Cache (Megiddo & Modha,
 // FAST '03): two resident lists, T1 (recency) and T2 (frequency),
 // plus two ghost lists, B1 and B2, whose hits steer the adaptive
-// target p that divides the cache between recency and frequency. An
-// entry moving between lists carries the boxed id list.Remove hands
-// back, so each page id is boxed once, when it enters the directory.
+// target p that divides the cache between recency and frequency. A
+// page keeps one node while it is in the directory; moving between
+// lists relinks that node.
 type ARC struct {
 	capacity int
 	p        int // target size of T1
 
-	t1, t2 *list.List // resident (front = MRU)
-	b1, b2 *list.List // ghosts (front = MRU)
-
-	where map[PageID]*arcEntry
-}
-
-type arcEntry struct {
-	elem *list.Element
-	list int // lT1, lT2, lB1, lB2
+	nodes
+	lists [4]nodeList // indexed by a node's tag; front = MRU
 }
 
 const (
@@ -32,11 +23,7 @@ const (
 
 // NewARC returns an empty ARC policy.
 func NewARC() *ARC {
-	return &ARC{
-		t1: list.New(), t2: list.New(),
-		b1: list.New(), b2: list.New(),
-		where: make(map[PageID]*arcEntry),
-	}
+	return &ARC{lists: [4]nodeList{newNodeList(), newNodeList(), newNodeList(), newNodeList()}}
 }
 
 // Name implements Policy.
@@ -52,37 +39,38 @@ func (a *ARC) SetCapacity(pages int) {
 
 // OnAccess implements Policy: any hit promotes to T2 MRU.
 func (a *ARC) OnAccess(id PageID) {
-	e, ok := a.where[id]
+	i, ok := a.index.get(id)
 	if !ok {
 		return
 	}
-	switch e.list {
+	switch a.recs[i].tag {
 	case lT1:
-		e.elem = a.t2.PushFront(a.t1.Remove(e.elem))
-		e.list = lT2
+		a.unlink(&a.lists[lT1], i)
+		a.pushFront(&a.lists[lT2], i, lT2)
 	case lT2:
-		a.t2.MoveToFront(e.elem)
+		a.moveToFront(&a.lists[lT2], i)
 	}
 }
 
 // OnMiss implements Policy: ghost hits adapt p.
 func (a *ARC) OnMiss(id PageID) {
-	e, ok := a.where[id]
+	i, ok := a.index.get(id)
 	if !ok {
 		return
 	}
-	switch e.list {
+	b1, b2 := a.lists[lB1].n, a.lists[lB2].n
+	switch a.recs[i].tag {
 	case lB1:
 		delta := 1
-		if a.b1.Len() > 0 && a.b2.Len() > a.b1.Len() {
-			delta = a.b2.Len() / a.b1.Len()
+		if b1 > 0 && b2 > b1 {
+			delta = b2 / b1
 		}
 		a.p = min(a.p+delta, a.capacity)
 		// Leave the ghost in place; OnInsert consumes it.
 	case lB2:
 		delta := 1
-		if a.b2.Len() > 0 && a.b1.Len() > a.b2.Len() {
-			delta = a.b1.Len() / a.b2.Len()
+		if b2 > 0 && b1 > b2 {
+			delta = b1 / b2
 		}
 		a.p = max(a.p-delta, 0)
 	}
@@ -90,65 +78,43 @@ func (a *ARC) OnMiss(id PageID) {
 
 // OnInsert implements Policy.
 func (a *ARC) OnInsert(id PageID) {
-	if e, ok := a.where[id]; ok {
-		switch e.list {
-		case lB1:
-			e.elem = a.t2.PushFront(a.b1.Remove(e.elem))
-			e.list = lT2
-			return
-		case lB2:
-			e.elem = a.t2.PushFront(a.b2.Remove(e.elem))
-			e.list = lT2
-			return
-		default:
-			return // already resident
+	if i, ok := a.index.get(id); ok {
+		if tag := a.recs[i].tag; tag == lB1 || tag == lB2 {
+			a.unlink(&a.lists[tag], i)
+			a.pushFront(&a.lists[lT2], i, lT2)
 		}
+		return // otherwise already resident
 	}
-	a.where[id] = &arcEntry{elem: a.t1.PushFront(id), list: lT1}
+	a.addFront(&a.lists[lT1], id, lT1)
 	a.trimGhosts()
 }
 
 // OnRemove implements Policy.
 func (a *ARC) OnRemove(id PageID) {
-	e, ok := a.where[id]
-	if !ok {
-		return
-	}
-	a.listOf(e.list).Remove(e.elem)
-	delete(a.where, id)
-}
-
-func (a *ARC) listOf(which int) *list.List {
-	switch which {
-	case lT1:
-		return a.t1
-	case lT2:
-		return a.t2
-	case lB1:
-		return a.b1
-	default:
-		return a.b2
+	if i, ok := a.index.del(id); ok {
+		a.unlink(&a.lists[a.recs[i].tag], i)
+		a.release(i)
 	}
 }
 
 // Victim implements Policy: evict from T1 if it exceeds the target p,
 // else from T2; the evicted page becomes a ghost.
 func (a *ARC) Victim() (PageID, bool) {
-	fromT1 := a.t1.Len() > 0 && (a.t1.Len() > a.p || a.t2.Len() == 0)
-	var src, ghost *list.List
-	var ghostList int
-	if fromT1 {
-		src, ghost, ghostList = a.t1, a.b1, lB1
-	} else if a.t2.Len() > 0 {
-		src, ghost, ghostList = a.t2, a.b2, lB2
-	} else {
+	t1, t2 := &a.lists[lT1], &a.lists[lT2]
+	var src int
+	switch {
+	case t1.n > 0 && (t1.n > a.p || t2.n == 0):
+		src = lT1
+	case t2.n > 0:
+		src = lT2
+	default:
 		return PageID{}, false
 	}
-	v := src.Remove(src.Back())
-	id := v.(PageID)
-	entry := a.where[id]
-	entry.elem = ghost.PushFront(v)
-	entry.list = ghostList
+	ghost := src + lB1 // lT1 -> lB1, lT2 -> lB2
+	i := a.lists[src].tail
+	id := a.recs[i].id
+	a.unlink(&a.lists[src], i)
+	a.pushFront(&a.lists[ghost], i, uint8(ghost))
 	a.trimGhosts()
 	return id, true
 }
@@ -156,15 +122,12 @@ func (a *ARC) Victim() (PageID, bool) {
 // trimGhosts bounds ghost memory: |T1|+|B1| <= c and total directory
 // size <= 2c, per the ARC paper.
 func (a *ARC) trimGhosts() {
-	for a.t1.Len()+a.b1.Len() > a.capacity && a.b1.Len() > 0 {
-		e := a.b1.Back()
-		delete(a.where, e.Value.(PageID))
-		a.b1.Remove(e)
+	t1, t2, b1, b2 := &a.lists[lT1], &a.lists[lT2], &a.lists[lB1], &a.lists[lB2]
+	for t1.n+b1.n > a.capacity && b1.n > 0 {
+		a.drop(b1, b1.tail)
 	}
-	for a.t1.Len()+a.t2.Len()+a.b1.Len()+a.b2.Len() > 2*a.capacity && a.b2.Len() > 0 {
-		e := a.b2.Back()
-		delete(a.where, e.Value.(PageID))
-		a.b2.Remove(e)
+	for t1.n+t2.n+b1.n+b2.n > 2*a.capacity && b2.n > 0 {
+		a.drop(b2, b2.tail)
 	}
 }
 

@@ -12,6 +12,7 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
@@ -60,11 +61,15 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-type pageMeta struct {
-	dirty      bool
-	writeback  bool   // write-back submitted, completion not yet fired
-	wbGen      uint64 // flight token of the current write-back (see MarkWriteback)
-	prefetched bool   // inserted by readahead, not yet referenced
+// pageRec is one resident page's record in the cache's slab. Its
+// links are slots in the same slab (-1 ends a list).
+type pageRec struct {
+	id                   PageID
+	dirtyPrev, dirtyNext int32  // dirtied-order list, while dirty
+	filePrev, fileNext   int32  // the page's file's list
+	wbGen                uint64 // flight token of the current write-back (see MarkWriteback)
+	dirty                bool
+	writeback            bool // write-back submitted, completion not yet fired
 }
 
 // Cache is a fixed-capacity page cache. It tracks residency and dirty
@@ -74,31 +79,30 @@ type pageMeta struct {
 // Cache is not safe for concurrent use; the simulation core is
 // single-goroutine.
 type Cache struct {
-	capacity int // pages; 0 means cache disabled
-	pages    map[PageID]*pageMeta
+	capacity int           // pages; 0 means cache disabled
+	pages    slab[pageRec] // resident pages
 	policy   Policy
 	stats    Stats
 	dirty    int    // resident dirty pages (kept incrementally)
 	wb       int    // resident pages with write-back in flight
 	wbGen    uint64 // flight-token counter for MarkWriteback
-	// dirtySet and the intrusive dirtyHead/dirtyTail list track dirty
-	// pages in the order they were dirtied. The order matters: the
-	// write-back flusher collects bounded batches, and iterating a Go
-	// map would hand it a different batch on every run, destroying the
-	// bit-reproducibility the harness promises. FIFO order is also
-	// what real kernels approximate (oldest-dirtied first).
-	dirtySet             map[PageID]*dirtyEnt
-	dirtyHead, dirtyTail *dirtyEnt
-	// byFile indexes resident page indices per file so that
-	// InvalidateFile (unlink, truncate) need not scan the whole
+	// dirtyHead and dirtyTail bound the list of dirty pages in the
+	// order they were dirtied. The order matters: the write-back
+	// flusher collects bounded batches, and any order taken from a
+	// hash table would hand it a batch that depends on table layout,
+	// not on the simulated history. FIFO order is also what real
+	// kernels approximate (oldest-dirtied first).
+	dirtyHead, dirtyTail int32
+	// files maps PageID{File: f} to the first page of f's list, so
+	// that InvalidateFile (unlink, truncate) need not scan the whole
 	// cache.
-	byFile map[uint64]map[int64]struct{}
-}
-
-// dirtyEnt is one node of the dirtied-order list.
-type dirtyEnt struct {
-	id         PageID
-	prev, next *dirtyEnt
+	files pageIndex
+	// prefetched has bit i set while the page in slot i came in by
+	// readahead and has not been referenced. Every hit tests it, so it
+	// is a bitmap small enough to stay in the CPU cache rather than a
+	// field of the page's record.
+	prefetched []uint64
+	scratch    []int64 // InvalidateFile's page indices, reused
 }
 
 // New returns a cache holding capacityPages pages under the given
@@ -112,73 +116,95 @@ func New(capacityPages int, policy Policy) *Cache {
 		panic("cache: nil policy")
 	}
 	policy.SetCapacity(capacityPages)
-	return &Cache{
-		capacity: capacityPages,
-		pages:    make(map[PageID]*pageMeta),
-		policy:   policy,
-		byFile:   make(map[uint64]map[int64]struct{}),
-		dirtySet: make(map[PageID]*dirtyEnt),
-	}
+	return &Cache{capacity: capacityPages, policy: policy, dirtyHead: -1, dirtyTail: -1}
 }
 
-// markDirtyCounters and clearDirtyCounters keep the dirty-page
-// bookkeeping in one place, appending to / unlinking from the
-// dirtied-order list.
-func (c *Cache) markDirtyCounters(id PageID) {
+// markDirty and clearDirty keep the dirty-page bookkeeping in one
+// place, appending slot i to / unlinking it from the dirtied-order
+// list.
+func (c *Cache) markDirty(i int32) {
+	r := &c.pages.recs[i]
+	r.dirty = true
 	c.dirty++
-	e := &dirtyEnt{id: id, prev: c.dirtyTail}
-	if c.dirtyTail != nil {
-		c.dirtyTail.next = e
+	r.dirtyPrev, r.dirtyNext = c.dirtyTail, -1
+	if c.dirtyTail >= 0 {
+		c.pages.recs[c.dirtyTail].dirtyNext = i
 	} else {
-		c.dirtyHead = e
+		c.dirtyHead = i
 	}
-	c.dirtyTail = e
-	c.dirtySet[id] = e
+	c.dirtyTail = i
 }
 
-func (c *Cache) clearDirtyCounters(id PageID) {
-	e, ok := c.dirtySet[id]
+func (c *Cache) clearDirty(i int32) {
+	r := &c.pages.recs[i]
+	r.dirty = false
+	c.dirty--
+	if r.dirtyPrev >= 0 {
+		c.pages.recs[r.dirtyPrev].dirtyNext = r.dirtyNext
+	} else {
+		c.dirtyHead = r.dirtyNext
+	}
+	if r.dirtyNext >= 0 {
+		c.pages.recs[r.dirtyNext].dirtyPrev = r.dirtyPrev
+	} else {
+		c.dirtyTail = r.dirtyPrev
+	}
+}
+
+// linkFile adds slot i to its file's list, right after the file's
+// first page so the files index changes only for a file's first page.
+func (c *Cache) linkFile(i int32) {
+	recs := c.pages.recs
+	key := PageID{File: recs[i].id.File}
+	first, ok := c.files.get(key)
 	if !ok {
+		recs[i].filePrev, recs[i].fileNext = -1, -1
+		c.files.put(key, i)
 		return
 	}
-	c.dirty--
-	delete(c.dirtySet, id)
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.dirtyHead = e.next
+	next := recs[first].fileNext
+	recs[i].filePrev, recs[i].fileNext = first, next
+	if next >= 0 {
+		recs[next].filePrev = i
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.dirtyTail = e.prev
+	recs[first].fileNext = i
+}
+
+func (c *Cache) unlinkFile(i int32) {
+	recs := c.pages.recs
+	prev, next := recs[i].filePrev, recs[i].fileNext
+	if next >= 0 {
+		recs[next].filePrev = prev
+	}
+	switch key := (PageID{File: recs[i].id.File}); {
+	case prev >= 0:
+		recs[prev].fileNext = next
+	case next >= 0:
+		c.files.put(key, next)
+	default:
+		c.files.del(key)
 	}
 }
 
-// addIndex and delIndex maintain the per-file page index.
-func (c *Cache) addIndex(id PageID) {
-	m, ok := c.byFile[id.File]
-	if !ok {
-		m = make(map[int64]struct{})
-		c.byFile[id.File] = m
+// drop forgets the resident page at slot i, whose id the caller has
+// already deleted from the index, except for its file's list.
+func (c *Cache) drop(i int32) {
+	r := &c.pages.recs[i]
+	if r.dirty {
+		c.clearDirty(i)
 	}
-	m[id.Index] = struct{}{}
-}
-
-func (c *Cache) delIndex(id PageID) {
-	if m, ok := c.byFile[id.File]; ok {
-		delete(m, id.Index)
-		if len(m) == 0 {
-			delete(c.byFile, id.File)
-		}
+	if r.writeback {
+		c.wb--
 	}
+	c.prefetched[i/64] &^= 1 << (i % 64)
+	c.pages.release(i)
 }
 
 // Capacity reports the configured size in pages.
 func (c *Cache) Capacity() int { return c.capacity }
 
 // Len reports the number of resident pages.
-func (c *Cache) Len() int { return len(c.pages) }
+func (c *Cache) Len() int { return c.pages.index.n }
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -192,7 +218,7 @@ func (c *Cache) Policy() Policy { return c.policy }
 // Contains reports residency without recording an access — for tests
 // and for readahead duplicate suppression.
 func (c *Cache) Contains(id PageID) bool {
-	_, ok := c.pages[id]
+	_, ok := c.pages.index.get(id)
 	return ok
 }
 
@@ -200,11 +226,10 @@ func (c *Cache) Contains(id PageID) bool {
 // resident. A miss is reported to the policy (ARC and 2Q learn from
 // ghost hits).
 func (c *Cache) Lookup(id PageID) bool {
-	m, ok := c.pages[id]
-	if ok {
+	if i, ok := c.pages.index.get(id); ok {
 		c.stats.Hits++
-		if m.prefetched {
-			m.prefetched = false
+		if w, bit := &c.prefetched[i/64], uint64(1)<<(i%64); *w&bit != 0 {
+			*w &^= bit
 			c.stats.PrefetchHits++
 		}
 		c.policy.OnAccess(id)
@@ -230,68 +255,78 @@ func (c *Cache) InsertPrefetched(id PageID) []Evicted {
 }
 
 func (c *Cache) insert(id PageID, dirty, prefetched bool) []Evicted {
-	if m, ok := c.pages[id]; ok {
-		if dirty && !m.dirty {
-			m.dirty = true
-			c.markDirtyCounters(id)
+	if i, ok := c.pages.index.get(id); ok {
+		if dirty && !c.pages.recs[i].dirty {
+			c.markDirty(i)
 		}
 		return nil
 	}
 	if c.capacity == 0 {
 		return nil
 	}
-	var evicted []Evicted
-	for len(c.pages) >= c.capacity {
-		victim, ok := c.policy.Victim()
-		if !ok {
-			// The policy lost track of a page; fail loudly — this is
-			// an invariant violation, not a recoverable state.
-			panic(fmt.Sprintf("cache: policy %q has no victim but cache holds %d/%d pages",
-				c.policy.Name(), len(c.pages), c.capacity))
-		}
-		vm := c.pages[victim]
-		if vm == nil {
-			panic(fmt.Sprintf("cache: policy %q evicted non-resident page %v", c.policy.Name(), victim))
-		}
-		delete(c.pages, victim)
-		c.delIndex(victim)
-		c.stats.Evictions++
-		if vm.dirty {
-			c.stats.DirtyEvict++
-			c.clearDirtyCounters(victim)
-		}
-		c.dropWriteback(vm)
-		evicted = append(evicted, Evicted{ID: victim, Dirty: vm.dirty})
+	evicted := c.evictDownTo(c.capacity - 1)
+	i := c.pages.add(id)
+	c.pages.recs[i].id = id
+	if int(i/64) == len(c.prefetched) {
+		c.prefetched = append(c.prefetched, 0)
 	}
-	c.pages[id] = &pageMeta{dirty: dirty, prefetched: prefetched}
-	c.addIndex(id)
+	if prefetched {
+		c.prefetched[i/64] |= 1 << (i % 64)
+	}
+	c.linkFile(i)
 	if dirty {
-		c.markDirtyCounters(id)
+		c.markDirty(i)
 	}
 	c.policy.OnInsert(id)
 	c.stats.Inserts++
 	return evicted
 }
 
+// evictDownTo evicts the policy's victims until at most n pages are
+// resident and returns them. A policy that runs out of victims, or
+// names a page that is not resident, has broken the Policy invariant:
+// that is a bug, not a recoverable state, so it panics.
+func (c *Cache) evictDownTo(n int) []Evicted {
+	var evicted []Evicted
+	for c.Len() > n {
+		victim, ok := c.policy.Victim()
+		if !ok {
+			panic(fmt.Sprintf("cache: policy %q has no victim but cache holds %d/%d pages",
+				c.policy.Name(), c.Len(), c.capacity))
+		}
+		i, ok := c.pages.index.del(victim)
+		if !ok {
+			panic(fmt.Sprintf("cache: policy %q evicted non-resident page %v", c.policy.Name(), victim))
+		}
+		dirty := c.pages.recs[i].dirty
+		c.stats.Evictions++
+		if dirty {
+			c.stats.DirtyEvict++
+		}
+		c.unlinkFile(i)
+		c.drop(i)
+		evicted = append(evicted, Evicted{ID: victim, Dirty: dirty})
+	}
+	return evicted
+}
+
 // MarkDirty sets the dirty bit on a resident page. It reports whether
 // the page was resident.
 func (c *Cache) MarkDirty(id PageID) bool {
-	m, ok := c.pages[id]
+	i, ok := c.pages.index.get(id)
 	if !ok {
 		return false
 	}
-	if !m.dirty {
-		m.dirty = true
-		c.markDirtyCounters(id)
+	if !c.pages.recs[i].dirty {
+		c.markDirty(i)
 	}
 	return true
 }
 
 // Clean clears the dirty bit (after write-back).
 func (c *Cache) Clean(id PageID) {
-	if m, ok := c.pages[id]; ok && m.dirty {
-		m.dirty = false
-		c.clearDirtyCounters(id)
+	if i, ok := c.pages.index.get(id); ok && c.pages.recs[i].dirty {
+		c.clearDirty(i)
 	}
 }
 
@@ -305,15 +340,18 @@ func (c *Cache) Clean(id PageID) {
 // during write-back stays dirty and is flushed again only after
 // EndWriteback).
 func (c *Cache) MarkWriteback(id PageID) (gen uint64, ok bool) {
-	m, present := c.pages[id]
-	if !present || !m.dirty || m.writeback {
+	i, present := c.pages.index.get(id)
+	if !present {
 		return 0, false
 	}
-	m.dirty = false
-	c.clearDirtyCounters(id)
-	m.writeback = true
+	r := &c.pages.recs[i]
+	if !r.dirty || r.writeback {
+		return 0, false
+	}
+	c.clearDirty(i)
+	r.writeback = true
 	c.wbGen++
-	m.wbGen = c.wbGen
+	r.wbGen = c.wbGen
 	c.wb++
 	return c.wbGen, true
 }
@@ -326,9 +364,11 @@ func (c *Cache) MarkWriteback(id PageID) (gen uint64, ok bool) {
 // completion for an evicted or invalidated page is likewise a no-op —
 // its count was dropped at removal.
 func (c *Cache) EndWriteback(id PageID, gen uint64) {
-	if m, ok := c.pages[id]; ok && m.writeback && m.wbGen == gen {
-		m.writeback = false
-		c.wb--
+	if i, ok := c.pages.index.get(id); ok {
+		if r := &c.pages.recs[i]; r.writeback && r.wbGen == gen {
+			r.writeback = false
+			c.wb--
+		}
 	}
 }
 
@@ -339,22 +379,14 @@ func (c *Cache) WritebackCount() int { return c.wb }
 
 // IsWriteback reports the write-back state of a resident page.
 func (c *Cache) IsWriteback(id PageID) bool {
-	m, ok := c.pages[id]
-	return ok && m.writeback
-}
-
-// dropWriteback forgets in-flight state for a page leaving the cache.
-func (c *Cache) dropWriteback(m *pageMeta) {
-	if m.writeback {
-		m.writeback = false
-		c.wb--
-	}
+	i, ok := c.pages.index.get(id)
+	return ok && c.pages.recs[i].writeback
 }
 
 // IsDirty reports the dirty bit of a resident page.
 func (c *Cache) IsDirty(id PageID) bool {
-	m, ok := c.pages[id]
-	return ok && m.dirty
+	i, ok := c.pages.index.get(id)
+	return ok && c.pages.recs[i].dirty
 }
 
 // DirtyCount reports the number of dirty resident pages. It is O(1);
@@ -366,8 +398,8 @@ func (c *Cache) DirtyCount() int { return c.dirty }
 // pass max <= 0 for all dirty pages. Cost scales with the number of
 // dirty pages, not the cache size.
 func (c *Cache) CollectDirty(dst []PageID, max int) []PageID {
-	for e := c.dirtyHead; e != nil; e = e.next {
-		dst = append(dst, e.id)
+	for i := c.dirtyHead; i >= 0; i = c.pages.recs[i].dirtyNext {
+		dst = append(dst, c.pages.recs[i].id)
 		if max > 0 && len(dst) >= max {
 			break
 		}
@@ -378,9 +410,9 @@ func (c *Cache) CollectDirty(dst []PageID, max int) []PageID {
 // CollectDirtyFile appends the dirty pages of one file to dst, oldest
 // dirtied first — fsync's working set.
 func (c *Cache) CollectDirtyFile(dst []PageID, file uint64) []PageID {
-	for e := c.dirtyHead; e != nil; e = e.next {
-		if e.id.File == file {
-			dst = append(dst, e.id)
+	for i := c.dirtyHead; i >= 0; i = c.pages.recs[i].dirtyNext {
+		if id := c.pages.recs[i].id; id.File == file {
+			dst = append(dst, id)
 		}
 	}
 	return dst
@@ -390,53 +422,42 @@ func (c *Cache) CollectDirtyFile(dst []PageID, file uint64) []PageID {
 // and unlink, where the data is going away anyway). It reports whether
 // the page was resident.
 func (c *Cache) Invalidate(id PageID) bool {
-	m, ok := c.pages[id]
+	i, ok := c.pages.index.del(id)
 	if !ok {
 		return false
 	}
-	if m.dirty {
-		c.clearDirtyCounters(id)
-	}
-	c.dropWriteback(m)
-	delete(c.pages, id)
-	c.delIndex(id)
+	c.unlinkFile(i)
+	c.drop(i)
 	c.policy.OnRemove(id)
 	c.stats.Invalidations++
 	return true
 }
 
 // InvalidateFile drops every resident page of the given file and
-// returns how many were dropped. It uses the per-file index, so its
+// returns how many were dropped. It walks the file's list, so its
 // cost scales with the file's resident pages, not the cache size.
 func (c *Cache) InvalidateFile(file uint64) int {
-	idx, ok := c.byFile[file]
+	first, ok := c.files.del(PageID{File: file})
 	if !ok {
 		return 0
 	}
-	// Sort the victims: policies with history (ARC, 2Q) see removals,
-	// and feeding them map-iteration order would make ghost-list state
-	// — and therefore later evictions — nondeterministic.
-	indices := make([]int64, 0, len(idx))
-	for pageIdx := range idx {
-		indices = append(indices, pageIdx)
+	// Remove in ascending page order: policies with history (ARC, 2Q)
+	// see removals, and the list's order records how the file's pages
+	// arrived, which their ghost lists must not depend on.
+	indices := c.scratch[:0]
+	for i := first; i >= 0; i = c.pages.recs[i].fileNext {
+		indices = append(indices, c.pages.recs[i].id.Index)
 	}
 	slices.Sort(indices)
-	n := 0
 	for _, pageIdx := range indices {
 		id := PageID{File: file, Index: pageIdx}
-		if m := c.pages[id]; m != nil {
-			if m.dirty {
-				c.clearDirtyCounters(id)
-			}
-			c.dropWriteback(m)
-		}
-		delete(c.pages, id)
+		i, _ := c.pages.index.del(id)
+		c.drop(i)
 		c.policy.OnRemove(id)
-		n++
 	}
-	delete(c.byFile, file)
-	c.stats.Invalidations += int64(n)
-	return n
+	c.scratch = indices
+	c.stats.Invalidations += int64(len(indices))
+	return len(indices)
 }
 
 // Resize changes capacity, evicting as needed, and returns the evicted
@@ -449,57 +470,28 @@ func (c *Cache) Resize(capacityPages int) []Evicted {
 	}
 	c.capacity = capacityPages
 	c.policy.SetCapacity(capacityPages)
-	var evicted []Evicted
-	for len(c.pages) > c.capacity {
-		victim, ok := c.policy.Victim()
-		if !ok {
-			panic("cache: no victim during resize")
-		}
-		vm := c.pages[victim]
-		delete(c.pages, victim)
-		c.delIndex(victim)
-		c.stats.Evictions++
-		if vm.dirty {
-			c.stats.DirtyEvict++
-			c.clearDirtyCounters(victim)
-		}
-		c.dropWriteback(vm)
-		evicted = append(evicted, Evicted{ID: victim, Dirty: vm.dirty})
-	}
-	return evicted
+	return c.evictDownTo(c.capacity)
 }
 
 // Flush removes every page (writing nothing); tests and unmount use
 // it after the caller has written dirty pages back.
 func (c *Cache) Flush() {
 	// Deterministic removal order, for the same reason as
-	// InvalidateFile: policy history must not depend on map iteration.
-	ids := make([]PageID, 0, len(c.pages))
-	for id := range c.pages {
-		ids = append(ids, id)
-	}
+	// InvalidateFile: policy history must not depend on table order.
+	ids := c.pages.index.appendIDs(make([]PageID, 0, c.Len()))
 	slices.SortFunc(ids, func(a, b PageID) int {
 		if a.File != b.File {
-			if a.File < b.File {
-				return -1
-			}
-			return 1
+			return cmp.Compare(a.File, b.File)
 		}
-		if a.Index != b.Index {
-			if a.Index < b.Index {
-				return -1
-			}
-			return 1
-		}
-		return 0
+		return cmp.Compare(a.Index, b.Index)
 	})
 	for _, id := range ids {
 		c.policy.OnRemove(id)
-		delete(c.pages, id)
 	}
-	c.byFile = make(map[uint64]map[int64]struct{})
-	c.dirtySet = make(map[PageID]*dirtyEnt)
-	c.dirtyHead, c.dirtyTail = nil, nil
+	c.pages.reset()
+	c.files.clear()
+	clear(c.prefetched)
+	c.dirtyHead, c.dirtyTail = -1, -1
 	c.dirty = 0
 	c.wb = 0
 }

@@ -282,10 +282,9 @@ func policyInvariant(t *testing.T, name string) {
 		if !ok {
 			t.Fatalf("policy %s: %d pages resident but no victim", name, c.Len())
 		}
-		if !c.Contains(v) {
+		if _, ok := c.pages.index.del(v); !ok {
 			t.Fatalf("policy %s: victim %v not resident", name, v)
 		}
-		delete(c.pages, v)
 		drained++
 		if drained > 10*capacity {
 			t.Fatalf("policy %s: drain did not terminate", name)
@@ -376,9 +375,8 @@ func TestTwoQGhostPromotion(t *testing.T) {
 		t.Skip("page unexpectedly resident; ghost path not exercised")
 	}
 	c.Insert(ghost, false)
-	e, ok := q.where[ghost]
-	if !ok || e.queue != qAm {
-		t.Errorf("ghost-hit page not promoted to Am (entry=%+v ok=%v)", e, ok)
+	if i, ok := q.index.get(ghost); !ok || q.recs[i].tag != qAm {
+		t.Errorf("ghost-hit page not promoted to Am (tracked=%v)", ok)
 	}
 	if q.residentLen() != c.Len() {
 		t.Errorf("2Q resident bookkeeping (%d) disagrees with cache (%d)", q.residentLen(), c.Len())
@@ -408,56 +406,60 @@ func TestFlush(t *testing.T) {
 }
 
 // TestPolicyAllocs pins what one Lookup hit or one evicting Insert
-// allocates in a full cache. ARC and 2Q move an entry between lists
-// by pushing the boxed id list.Remove returns; boxing the id again
-// would cost one more object per move.
+// allocates in a full cache, for every policy. Pages and policy nodes
+// live in slabs whose freed slots are reused, so a hit allocates
+// nothing and an evicting insert allocates only the []Evicted it
+// returns.
 func TestPolicyAllocs(t *testing.T) {
 	const pages = 1 << 10
-	cases := []struct {
-		name, policy string
-		hit          bool // Lookup a resident page not yet hit, else Insert a new one
-		want         float64
-	}{
-		{"arc/first-hit", "arc", true, 1},
-		{"arc/insert-evict", "arc", false, 6},
-		{"2q/insert-evict", "2q", false, 6},
-		{"lru/insert-evict", "lru", false, 4},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			pol, err := NewPolicy(tc.policy, sim.NewRNG(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Stream four capacities of pages through, so the ghost
-			// lists are full too: resident are pages 3*pages..4*pages-1,
-			// none of them hit yet.
-			c := New(pages, pol)
-			for i := int64(0); i < 4*pages; i++ {
-				c.Insert(page(1, i), false)
-			}
-			next := int64(3 * pages)
-			if !tc.hit {
-				next = 4 * pages
-			}
-			got := testing.AllocsPerRun(100, func() {
-				if tc.hit {
-					if !c.Lookup(page(1, next)) {
-						t.Fatalf("page %d not resident", next)
-					}
-				} else {
-					c.Insert(page(1, next), false)
+	for _, policy := range PolicyNames() {
+		for _, tc := range []struct {
+			name string
+			hit  bool // Lookup a resident page not yet hit, else Insert a new one
+			want float64
+		}{
+			{"first-hit", true, 0},
+			{"insert-evict", false, 1},
+		} {
+			t.Run(policy+"/"+tc.name, func(t *testing.T) {
+				pol, err := NewPolicy(policy, sim.NewRNG(1))
+				if err != nil {
+					t.Fatal(err)
 				}
-				next++
+				// Stream four capacities of pages through, so the ghost
+				// lists are full too; none of the resident pages is hit
+				// yet.
+				c := New(pages, pol)
+				for i := int64(0); i < 4*pages; i++ {
+					c.Insert(page(1, i), false)
+				}
+				var resident []PageID
+				for i := int64(0); i < 4*pages; i++ {
+					if c.Contains(page(1, i)) {
+						resident = append(resident, page(1, i))
+					}
+				}
+				next := 0
+				got := testing.AllocsPerRun(100, func() {
+					if tc.hit {
+						if !c.Lookup(resident[next]) {
+							t.Fatalf("page %v not resident", resident[next])
+						}
+					} else {
+						c.Insert(page(1, int64(4*pages+next)), false)
+					}
+					next++
+				})
+				if got != tc.want {
+					t.Errorf("%.2f allocs/op, want %v", got, tc.want)
+				}
 			})
-			if got != tc.want {
-				t.Errorf("%.2f allocs/op, want %v", got, tc.want)
-			}
-		})
+		}
 	}
 }
 
 func BenchmarkLRUHit(b *testing.B) {
+	b.ReportAllocs()
 	c := New(1<<16, NewLRU())
 	for i := int64(0); i < 1<<16; i++ {
 		c.Insert(page(1, i), false)
@@ -469,6 +471,7 @@ func BenchmarkLRUHit(b *testing.B) {
 }
 
 func BenchmarkLRUChurn(b *testing.B) {
+	b.ReportAllocs()
 	c := New(1<<12, NewLRU())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -480,6 +483,7 @@ func BenchmarkLRUChurn(b *testing.B) {
 }
 
 func BenchmarkARCChurn(b *testing.B) {
+	b.ReportAllocs()
 	c := New(1<<12, NewARC())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -605,5 +609,38 @@ func TestWritebackStaleCompletionIgnored(t *testing.T) {
 	c.EndWriteback(a, genB)
 	if c.WritebackCount() != 0 {
 		t.Fatalf("wb=%d after live completion", c.WritebackCount())
+	}
+}
+
+// strayPolicy is LRU except that it names, as its victim, a page the
+// cache never held: a broken Policy invariant.
+type strayPolicy struct{ *LRU }
+
+func (strayPolicy) Name() string { return "stray" }
+
+func (strayPolicy) Victim() (PageID, bool) { return page(99, 7), true }
+
+func TestEvictNonResidentVictimPanics(t *testing.T) {
+	recovered := func(f func()) (r any) {
+		defer func() { r = recover() }()
+		f()
+		return nil
+	}
+	const want = `cache: policy "stray" evicted non-resident page 99:7`
+	for _, tc := range []struct {
+		name  string
+		evict func(*Cache)
+	}{
+		{"insert", func(c *Cache) { c.Insert(page(1, 2), false) }},
+		{"resize", func(c *Cache) { c.Resize(1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(2, strayPolicy{NewLRU()})
+			c.Insert(page(1, 0), false)
+			c.Insert(page(1, 1), false)
+			if got := recovered(func() { tc.evict(c) }); got != want {
+				t.Fatalf("panic %v, want %q", got, want)
+			}
+		})
 	}
 }

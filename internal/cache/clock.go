@@ -1,24 +1,14 @@
 package cache
 
-import "container/list"
-
 // Clock approximates LRU with a reference bit and a sweeping hand —
 // the classic CLOCK algorithm used where true LRU bookkeeping on every
-// hit is too expensive.
+// hit is too expensive. A node's tag is its reference bit.
 type Clock struct {
-	ring  *list.List // hand sweeps from Back towards Front
-	items map[PageID]*clockEntry
-}
-
-type clockEntry struct {
-	elem *list.Element
-	ref  bool
+	ring queue // hand sweeps from the back towards the front
 }
 
 // NewClock returns an empty CLOCK policy.
-func NewClock() *Clock {
-	return &Clock{ring: list.New(), items: make(map[PageID]*clockEntry)}
-}
+func NewClock() *Clock { return &Clock{ring: newQueue()} }
 
 // Name implements Policy.
 func (c *Clock) Name() string { return "clock" }
@@ -28,27 +18,22 @@ func (c *Clock) SetCapacity(int) {}
 
 // OnAccess implements Policy: set the reference bit, move nothing.
 func (c *Clock) OnAccess(id PageID) {
-	if e, ok := c.items[id]; ok {
-		e.ref = true
+	if i, ok := c.ring.index.get(id); ok {
+		c.ring.recs[i].tag = 1
 	}
 }
 
 // OnInsert implements Policy.
 func (c *Clock) OnInsert(id PageID) {
-	if e, ok := c.items[id]; ok {
-		e.ref = true
+	if i, ok := c.ring.index.get(id); ok {
+		c.ring.recs[i].tag = 1
 		return
 	}
-	c.items[id] = &clockEntry{elem: c.ring.PushFront(id)}
+	c.ring.push(id)
 }
 
 // OnRemove implements Policy.
-func (c *Clock) OnRemove(id PageID) {
-	if e, ok := c.items[id]; ok {
-		c.ring.Remove(e.elem)
-		delete(c.items, id)
-	}
-}
+func (c *Clock) OnRemove(id PageID) { c.ring.remove(id) }
 
 // OnMiss implements Policy.
 func (c *Clock) OnMiss(PageID) {}
@@ -56,19 +41,15 @@ func (c *Clock) OnMiss(PageID) {}
 // Victim implements Policy: sweep the hand, clearing reference bits,
 // until an unreferenced page is found.
 func (c *Clock) Victim() (PageID, bool) {
-	for c.ring.Len() > 0 {
-		e := c.ring.Back()
-		id := e.Value.(PageID)
-		entry := c.items[id]
-		if entry.ref {
+	for r := &c.ring; r.l.tail >= 0; {
+		i := r.l.tail
+		if r.recs[i].tag != 0 {
 			// Second chance: clear the bit and rotate to the front.
-			entry.ref = false
-			c.ring.MoveToFront(e)
+			r.recs[i].tag = 0
+			r.moveToFront(&r.l, i)
 			continue
 		}
-		c.ring.Remove(e)
-		delete(c.items, id)
-		return id, true
+		return r.drop(&r.l, i), true
 	}
 	return PageID{}, false
 }

@@ -1,19 +1,48 @@
 package cache
 
-import "container/list"
+// queue is one list of pages in a node slab, newest at the front. LRU
+// and FIFO differ only in whether a hit moves a page to the front.
+type queue struct {
+	nodes
+	l nodeList
+}
+
+func newQueue() queue { return queue{l: newNodeList()} }
+
+// touch moves id to the front and reports whether it was tracked.
+func (q *queue) touch(id PageID) bool {
+	i, ok := q.index.get(id)
+	if ok {
+		q.moveToFront(&q.l, i)
+	}
+	return ok
+}
+
+func (q *queue) push(id PageID) { q.addFront(&q.l, id, 0) }
+
+func (q *queue) remove(id PageID) {
+	if i, ok := q.index.del(id); ok {
+		q.unlink(&q.l, i)
+		q.release(i)
+	}
+}
+
+func (q *queue) popBack() (PageID, bool) {
+	if q.l.tail < 0 {
+		return PageID{}, false
+	}
+	return q.drop(&q.l, q.l.tail), true
+}
 
 // LRU evicts the least recently used page. This is the default policy
 // and the closest simple analogue of the Linux page cache the paper's
 // testbed ran on.
 type LRU struct {
-	ll    *list.List // front = MRU
-	items map[PageID]*list.Element
+	q queue // front = MRU
 }
 
 // NewLRU returns an empty LRU policy.
-func NewLRU() *LRU {
-	return &LRU{ll: list.New(), items: make(map[PageID]*list.Element)}
-}
+func NewLRU() *LRU { return &LRU{q: newQueue()} }
 
 // Name implements Policy.
 func (l *LRU) Name() string { return "lru" }
@@ -22,55 +51,32 @@ func (l *LRU) Name() string { return "lru" }
 func (l *LRU) SetCapacity(int) {}
 
 // OnAccess implements Policy.
-func (l *LRU) OnAccess(id PageID) {
-	if e, ok := l.items[id]; ok {
-		l.ll.MoveToFront(e)
-	}
-}
+func (l *LRU) OnAccess(id PageID) { l.q.touch(id) }
 
 // OnInsert implements Policy.
 func (l *LRU) OnInsert(id PageID) {
-	if e, ok := l.items[id]; ok {
-		l.ll.MoveToFront(e)
-		return
+	if !l.q.touch(id) {
+		l.q.push(id)
 	}
-	l.items[id] = l.ll.PushFront(id)
 }
 
 // OnRemove implements Policy.
-func (l *LRU) OnRemove(id PageID) {
-	if e, ok := l.items[id]; ok {
-		l.ll.Remove(e)
-		delete(l.items, id)
-	}
-}
+func (l *LRU) OnRemove(id PageID) { l.q.remove(id) }
 
 // OnMiss implements Policy; LRU learns nothing from misses.
 func (l *LRU) OnMiss(PageID) {}
 
 // Victim implements Policy.
-func (l *LRU) Victim() (PageID, bool) {
-	e := l.ll.Back()
-	if e == nil {
-		return PageID{}, false
-	}
-	id := e.Value.(PageID)
-	l.ll.Remove(e)
-	delete(l.items, id)
-	return id, true
-}
+func (l *LRU) Victim() (PageID, bool) { return l.q.popBack() }
 
 // FIFO evicts in insertion order, ignoring recency. It is the
 // baseline that makes LRU's recency benefit measurable.
 type FIFO struct {
-	ll    *list.List
-	items map[PageID]*list.Element
+	q queue
 }
 
 // NewFIFO returns an empty FIFO policy.
-func NewFIFO() *FIFO {
-	return &FIFO{ll: list.New(), items: make(map[PageID]*list.Element)}
-}
+func NewFIFO() *FIFO { return &FIFO{q: newQueue()} }
 
 // Name implements Policy.
 func (f *FIFO) Name() string { return "fifo" }
@@ -83,31 +89,16 @@ func (f *FIFO) OnAccess(PageID) {}
 
 // OnInsert implements Policy.
 func (f *FIFO) OnInsert(id PageID) {
-	if _, ok := f.items[id]; ok {
-		return
+	if _, ok := f.q.index.get(id); !ok {
+		f.q.push(id)
 	}
-	f.items[id] = f.ll.PushFront(id)
 }
 
 // OnRemove implements Policy.
-func (f *FIFO) OnRemove(id PageID) {
-	if e, ok := f.items[id]; ok {
-		f.ll.Remove(e)
-		delete(f.items, id)
-	}
-}
+func (f *FIFO) OnRemove(id PageID) { f.q.remove(id) }
 
 // OnMiss implements Policy.
 func (f *FIFO) OnMiss(PageID) {}
 
 // Victim implements Policy.
-func (f *FIFO) Victim() (PageID, bool) {
-	e := f.ll.Back()
-	if e == nil {
-		return PageID{}, false
-	}
-	id := e.Value.(PageID)
-	f.ll.Remove(e)
-	delete(f.items, id)
-	return id, true
-}
+func (f *FIFO) Victim() (PageID, bool) { return f.q.popBack() }

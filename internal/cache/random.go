@@ -7,12 +7,12 @@ import "repro/internal/sim"
 type Random struct {
 	rng   *sim.RNG
 	ids   []PageID
-	index map[PageID]int // position of each id in ids
+	index pageIndex // position of each id in ids
 }
 
 // NewRandom returns a random-eviction policy drawing from rng.
 func NewRandom(rng *sim.RNG) *Random {
-	return &Random{rng: rng, index: make(map[PageID]int)}
+	return &Random{rng: rng}
 }
 
 // Name implements Policy.
@@ -26,24 +26,25 @@ func (r *Random) OnAccess(PageID) {}
 
 // OnInsert implements Policy.
 func (r *Random) OnInsert(id PageID) {
-	if _, ok := r.index[id]; ok {
+	if _, ok := r.index.get(id); ok {
 		return
 	}
-	r.index[id] = len(r.ids)
+	r.index.put(id, int32(len(r.ids)))
 	r.ids = append(r.ids, id)
 }
 
 // OnRemove implements Policy: swap-delete from the slice.
 func (r *Random) OnRemove(id PageID) {
-	pos, ok := r.index[id]
+	pos, ok := r.index.del(id)
 	if !ok {
 		return
 	}
-	last := len(r.ids) - 1
-	r.ids[pos] = r.ids[last]
-	r.index[r.ids[pos]] = pos
+	last := int32(len(r.ids) - 1)
+	if pos != last {
+		r.ids[pos] = r.ids[last]
+		r.index.put(r.ids[pos], pos)
+	}
 	r.ids = r.ids[:last]
-	delete(r.index, id)
 }
 
 // OnMiss implements Policy.

@@ -143,8 +143,14 @@ func (a *AdaptiveReadahead) Plan(file uint64, index int64, hit bool, filePages i
 // Forget implements Readahead.
 func (a *AdaptiveReadahead) Forget(file uint64) { delete(a.state, file) }
 
-// NewReadahead constructs a readahead policy by name: "none",
-// "fixed:<pages>" (default 8), or "adaptive".
+// ReadaheadNames lists the readahead policies NewReadahead builds.
+func ReadaheadNames() []string { return []string{"none", "fixed", "adaptive"} }
+
+// NewReadahead constructs a readahead policy by name: "none" (or ""),
+// "fixed" (the next 8 pages after every miss), or "adaptive" (a
+// window of 4 pages growing to 32). Any other name yields NoReadahead,
+// so a caller handed a name from outside the program checks it against
+// ReadaheadNames first, as core.StackConfig does.
 func NewReadahead(name string) Readahead {
 	switch name {
 	case "", "none":

@@ -1,28 +1,22 @@
 package cache
 
-import "container/list"
-
 // TwoQ implements the 2Q policy (Johnson & Shasha, VLDB '94): new
 // pages enter a small FIFO probation queue (A1in); pages evicted from
 // probation are remembered in a ghost queue (A1out); a miss that hits
 // the ghost queue indicates reuse and the page is admitted to the main
-// LRU queue (Am). Scan-resistant where plain LRU is not. As in ARC, a
-// page moving between queues carries its boxed id along.
+// LRU queue (Am). Scan-resistant where plain LRU is not. A page keeps
+// one node from admission until it leaves the ghost queue; moving
+// between queues relinks that node.
 type TwoQ struct {
 	capacity int
 	kin      int // max A1in size (resident)
 	kout     int // max A1out size (ghost entries)
 
-	a1in  *list.List // FIFO of resident probation pages
-	a1out *list.List // FIFO of ghost ids
-	am    *list.List // LRU of resident hot pages (front = MRU)
-
-	where map[PageID]*twoQEntry
-}
-
-type twoQEntry struct {
-	elem  *list.Element
-	queue int // which list: qA1in, qA1out, qAm
+	nodes
+	// queues, indexed by a node's tag: A1in is the FIFO of resident
+	// probation pages, A1out the FIFO of ghost ids, Am the LRU of
+	// resident hot pages (front = MRU).
+	queues [3]nodeList
 }
 
 const (
@@ -34,12 +28,7 @@ const (
 // NewTwoQ returns an empty 2Q policy. Queue sizing uses the paper's
 // recommended Kin = 25% and Kout = 50% of capacity.
 func NewTwoQ() *TwoQ {
-	return &TwoQ{
-		a1in:  list.New(),
-		a1out: list.New(),
-		am:    list.New(),
-		where: make(map[PageID]*twoQEntry),
-	}
+	return &TwoQ{queues: [3]nodeList{newNodeList(), newNodeList(), newNodeList()}}
 }
 
 // Name implements Policy.
@@ -58,92 +47,62 @@ func (q *TwoQ) SetCapacity(pages int) {
 	}
 }
 
-// OnAccess implements Policy.
+// OnAccess implements Policy. 2Q leaves probation pages in place on
+// hit; promotion happens only via the ghost queue.
 func (q *TwoQ) OnAccess(id PageID) {
-	e, ok := q.where[id]
-	if !ok {
-		return
-	}
-	switch e.queue {
-	case qA1in:
-		// 2Q leaves probation pages in place on hit; promotion
-		// happens only via the ghost queue.
-	case qAm:
-		q.am.MoveToFront(e.elem)
+	if i, ok := q.index.get(id); ok && q.recs[i].tag == qAm {
+		q.moveToFront(&q.queues[qAm], i)
 	}
 }
 
-// OnMiss implements Policy: a ghost hit marks the page for admission
-// directly into Am on the upcoming insert.
-func (q *TwoQ) OnMiss(id PageID) {
-	// Nothing to do here: the ghost check happens in OnInsert, where
-	// the entry (if any) still records qA1out membership.
-}
+// OnMiss implements Policy. Nothing to do here: the ghost check
+// happens in OnInsert, where the node (if any) still records A1out
+// membership.
+func (q *TwoQ) OnMiss(PageID) {}
 
 // OnInsert implements Policy.
 func (q *TwoQ) OnInsert(id PageID) {
-	if e, ok := q.where[id]; ok {
-		switch e.queue {
-		case qA1out:
+	if i, ok := q.index.get(id); ok {
+		if q.recs[i].tag == qA1out {
 			// Reuse detected: admit to the hot queue.
-			e.elem = q.am.PushFront(q.a1out.Remove(e.elem))
-			e.queue = qAm
-			return
-		default:
-			return // already resident
+			q.unlink(&q.queues[qA1out], i)
+			q.pushFront(&q.queues[qAm], i, qAm)
 		}
+		return // otherwise already resident
 	}
-	q.where[id] = &twoQEntry{elem: q.a1in.PushFront(id), queue: qA1in}
+	q.addFront(&q.queues[qA1in], id, qA1in)
 }
 
 // OnRemove implements Policy.
 func (q *TwoQ) OnRemove(id PageID) {
-	e, ok := q.where[id]
-	if !ok {
-		return
+	if i, ok := q.index.del(id); ok {
+		q.unlink(&q.queues[q.recs[i].tag], i)
+		q.release(i)
 	}
-	switch e.queue {
-	case qA1in:
-		q.a1in.Remove(e.elem)
-	case qA1out:
-		q.a1out.Remove(e.elem)
-	case qAm:
-		q.am.Remove(e.elem)
-	}
-	delete(q.where, id)
 }
 
 // Victim implements Policy.
 func (q *TwoQ) Victim() (PageID, bool) {
-	if q.a1in.Len() > q.kin || q.am.Len() == 0 {
-		if e := q.a1in.Back(); e != nil {
-			v := q.a1in.Remove(e)
-			id := v.(PageID)
-			// Remember the page as a ghost.
-			entry := q.where[id]
-			entry.elem = q.a1out.PushFront(v)
-			entry.queue = qA1out
-			q.trimGhosts()
-			return id, true
-		}
-	}
-	if e := q.am.Back(); e != nil {
-		id := e.Value.(PageID)
-		q.am.Remove(e)
-		delete(q.where, id)
+	in, am := &q.queues[qA1in], &q.queues[qAm]
+	if i := in.tail; i >= 0 && (in.n > q.kin || am.n == 0) {
+		// Remember the page as a ghost.
+		id := q.recs[i].id
+		q.unlink(in, i)
+		q.pushFront(&q.queues[qA1out], i, qA1out)
+		q.trimGhosts()
 		return id, true
+	}
+	if i := am.tail; i >= 0 {
+		return q.drop(am, i), true
 	}
 	return PageID{}, false
 }
 
 func (q *TwoQ) trimGhosts() {
-	for q.a1out.Len() > q.kout {
-		e := q.a1out.Back()
-		id := e.Value.(PageID)
-		q.a1out.Remove(e)
-		delete(q.where, id)
+	for out := &q.queues[qA1out]; out.n > q.kout; {
+		q.drop(out, out.tail)
 	}
 }
 
 // residentLen reports resident pages tracked (for tests).
-func (q *TwoQ) residentLen() int { return q.a1in.Len() + q.am.Len() }
+func (q *TwoQ) residentLen() int { return q.queues[qA1in].n + q.queues[qAm].n }

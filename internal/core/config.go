@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/device"
@@ -268,13 +270,18 @@ func (c StackConfig) drawCacheBytes(rng *sim.RNG) int64 {
 }
 
 // vfsConfig resolves the VFS configuration, failing fast on a bad
-// scheduler name instead of at first Run.
+// readahead or scheduler name instead of at first Run (or, for
+// readahead, never: an unknown name would run with none).
 func (c StackConfig) vfsConfig() (vfs.Config, error) {
 	vcfg := vfs.DefaultConfig()
 	if c.VFS != nil {
 		vcfg = *c.VFS
 	}
 	if c.Readahead != "" {
+		if names := cache.ReadaheadNames(); !slices.Contains(names, c.Readahead) {
+			return vfs.Config{}, fmt.Errorf("core: unknown readahead %q (want %s)",
+				c.Readahead, strings.Join(names, ", "))
+		}
 		vcfg.Readahead = cache.NewReadahead(c.Readahead)
 	}
 	if c.QueueDepth != 0 {

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -84,6 +87,24 @@ func TestStackConfigBuild(t *testing.T) {
 	bad.Device = "tape"
 	if _, err := bad.Build(sim.NewRNG(1)); err == nil {
 		t.Error("unknown device accepted")
+	}
+}
+
+func TestStackConfigRejectsUnknownReadahead(t *testing.T) {
+	for _, name := range []string{"adaptve", "fixed:16", "bogus"} {
+		t.Run(name, func(t *testing.T) {
+			stack := PaperStack()
+			stack.Readahead = name
+			_, err := stack.Build(sim.NewRNG(1))
+			if err == nil {
+				t.Fatalf("readahead %q accepted", name)
+			}
+			for _, want := range append([]string{strconv.Quote(name)}, cache.ReadaheadNames()...) {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name %s", err, want)
+				}
+			}
+		})
 	}
 }
 
