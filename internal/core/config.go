@@ -270,8 +270,8 @@ func (c StackConfig) drawCacheBytes(rng *sim.RNG) int64 {
 }
 
 // vfsConfig resolves the VFS configuration, failing fast on a bad
-// readahead or scheduler name instead of at first Run (or, for
-// readahead, never: an unknown name would run with none).
+// scheduler name instead of at first Run, and on a bad readahead name
+// instead of silently running with none.
 func (c StackConfig) vfsConfig() (vfs.Config, error) {
 	vcfg := vfs.DefaultConfig()
 	if c.VFS != nil {
