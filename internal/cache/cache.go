@@ -102,7 +102,7 @@ type Cache struct {
 	// is a bitmap small enough to stay in the CPU cache rather than a
 	// field of the page's record.
 	prefetched []uint64
-	scratch    []int64 // InvalidateFile's page indices, reused
+	indexBuf   []int64 // InvalidateFile's page indices, reused
 }
 
 // New returns a cache holding capacityPages pages under the given
@@ -444,7 +444,7 @@ func (c *Cache) InvalidateFile(file uint64) int {
 	// Remove in ascending page order: policies with history (ARC, 2Q)
 	// see removals, and the list's order records how the file's pages
 	// arrived, which their ghost lists must not depend on.
-	indices := c.scratch[:0]
+	indices := c.indexBuf[:0]
 	for i := first; i >= 0; i = c.pages.recs[i].fileNext {
 		indices = append(indices, c.pages.recs[i].id.Index)
 	}
@@ -455,7 +455,7 @@ func (c *Cache) InvalidateFile(file uint64) int {
 		c.drop(i)
 		c.policy.OnRemove(id)
 	}
-	c.scratch = indices
+	c.indexBuf = indices
 	c.stats.Invalidations += int64(len(indices))
 	return len(indices)
 }

@@ -82,7 +82,7 @@ func policyDigest(t *testing.T, name string) string {
 		gen uint64
 	}
 	var flights []flight
-	var scratch []PageID
+	var collected []PageID
 	const files = 5
 	pick := func() PageID {
 		// Two thirds of accesses go to a hot set smaller than the
@@ -131,11 +131,11 @@ func policyDigest(t *testing.T, name string) string {
 		case k < 955:
 			d.evicted(c.Resize(192 + rng.Intn(130)))
 		case k < 985:
-			scratch = c.CollectDirty(scratch[:0], rng.Intn(17))
-			d.ids(scratch)
+			collected = c.CollectDirty(collected[:0], rng.Intn(17))
+			d.ids(collected)
 		default:
-			scratch = c.CollectDirtyFile(scratch[:0], uint64(rng.Intn(files))+1)
-			d.ids(scratch)
+			collected = c.CollectDirtyFile(collected[:0], uint64(rng.Intn(files))+1)
+			d.ids(collected)
 		}
 		d.i64(int64(c.Len()))
 		d.i64(int64(c.DirtyCount()))
