@@ -41,9 +41,11 @@ type Protocol struct {
 	ShardMode string
 	// Tiny shrinks the figures that hard-code their own sweeps
 	// (contention, qdsweep, openloop) to a couple of points at the
-	// protocol's durations. The output is still deterministic for a
-	// given seed — the golden-file tests depend on that — but the
-	// numbers are smoke-scale, not the paper's.
+	// protocol's durations, Figure 1's two sweeps to a few points on
+	// each side of the cliff, and Figure 3's largest file from 25 GB
+	// to 4 GB. The output is still deterministic for a given seed —
+	// the golden-file tests depend on that — but the numbers are
+	// smoke-scale, not the paper's.
 	Tiny bool
 }
 
@@ -106,6 +108,10 @@ func figure1(proto Protocol) error {
 	var sizes []int64
 	for mb := int64(64); mb <= 1024; mb += 64 {
 		sizes = append(sizes, mb<<20)
+	}
+	if proto.Tiny {
+		// The cached plateau, both sides of the cliff, and the tail.
+		sizes = []int64{64 << 20, 384 << 20, 448 << 20, 1024 << 20}
 	}
 	sweep := fsbench.FileSizeSweep(stack, sizes, proto.Runs, proto.Duration, proto.Window, proto.Seed)
 	sweep.Base.Recorder = proto.Recorder
@@ -172,8 +178,13 @@ func figure1(proto Protocol) error {
 	// data points with a 64MB step)". Sweep the region around the
 	// cache size in 2 MB steps to expose it.
 	fmt.Println("--- Figure 1 fine sweep: 2 MB steps across the cache boundary ---")
+	fineLo, fineHi := int64(400), int64(420)
+	if proto.Tiny {
+		// The last steady point, then the transition itself.
+		fineLo, fineHi = 408, 418
+	}
 	var fine []int64
-	for mb := int64(400); mb <= 420; mb += 2 {
+	for mb := fineLo; mb <= fineHi; mb += 2 {
 		fine = append(fine, mb<<20)
 	}
 	fineSweep := fsbench.FileSizeSweep(stack, fine, proto.Runs, proto.Duration, proto.Window, proto.Seed+1000)
@@ -335,6 +346,11 @@ func figure3(proto Protocol) error {
 	fmt.Println("=== Figure 3: Ext2 read latency histograms by file size ===")
 	var rows [][]string
 	sizes := []int64{64 << 20, 1024 << 20, 25 << 30}
+	if proto.Tiny {
+		// Setup preallocates the whole file; 4 GB is still ten times
+		// the cache, so the third histogram stays miss-dominated.
+		sizes[2] = 4 << 30
+	}
 	exps := make([]*fsbench.Experiment, len(sizes))
 	for i, size := range sizes {
 		exps[i] = &fsbench.Experiment{

@@ -21,9 +21,13 @@ func tinyProtocol(t *testing.T) Protocol {
 		Runs:     2,
 		Duration: 2 * fsbench.Second,
 		Window:   1 * fsbench.Second,
-		Seed:     1,
-		OutDir:   t.TempDir(),
-		Tiny:     true,
+		// Figures 2 and 4 run their own horizons; 30 s still shows
+		// the cold start in 10 s buckets.
+		Fig2Duration: 30 * fsbench.Second,
+		Fig4Duration: 30 * fsbench.Second,
+		Seed:         1,
+		OutDir:       t.TempDir(),
+		Tiny:         true,
 	}
 }
 
@@ -52,13 +56,18 @@ func TestFigureCSVGoldens(t *testing.T) {
 	figures := []struct {
 		name string
 		run  func(Protocol) error
-		csv  string
+		csvs []string
 	}{
-		{"contention", figureContention, "contention.csv"},
-		{"qdsweep", figureQDSweep, "qdsweep.csv"},
-		{"fairness", figureFairness, "fairness.csv"},
-		{"openloop", figureOpenLoop, "openloop.csv"},
-		{"tracereplay", figureTraceReplay, "tracereplay.csv"},
+		{"figure1", figure1, []string{"figure1.csv", "figure1fine.csv"}},
+		{"figure1zoom", figure1zoom, []string{"figure1zoom.csv"}},
+		{"figure2", figure2, []string{"figure2.csv"}},
+		{"figure3", figure3, []string{"figure3.csv"}},
+		{"figure4", figure4, []string{"figure4.csv"}},
+		{"contention", figureContention, []string{"contention.csv"}},
+		{"qdsweep", figureQDSweep, []string{"qdsweep.csv"}},
+		{"fairness", figureFairness, []string{"fairness.csv"}},
+		{"openloop", figureOpenLoop, []string{"openloop.csv"}},
+		{"tracereplay", figureTraceReplay, []string{"tracereplay.csv"}},
 	}
 	for _, fig := range figures {
 		t.Run(fig.name, func(t *testing.T) {
@@ -67,28 +76,37 @@ func TestFigureCSVGoldens(t *testing.T) {
 			if err := fig.run(proto); err != nil {
 				t.Fatalf("figure %s: %v", fig.name, err)
 			}
-			got, err := os.ReadFile(filepath.Join(proto.OutDir, fig.csv))
-			if err != nil {
-				t.Fatal(err)
-			}
-			golden := filepath.Join("testdata", fig.csv+".golden")
-			if *update {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(golden, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatalf("missing golden (run with -update to create): %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s differs from %s\n--- got ---\n%s\n--- want ---\n%s",
-					fig.csv, golden, got, want)
+			for _, csv := range fig.csvs {
+				checkGolden(t, proto, csv)
 			}
 		})
+	}
+}
+
+// checkGolden compares one CSV the figure wrote against its golden,
+// or rewrites the golden under -update.
+func checkGolden(t *testing.T, proto Protocol, csv string) {
+	t.Helper()
+	got, err := os.ReadFile(filepath.Join(proto.OutDir, csv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", csv+".golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s differs from %s\n--- got ---\n%s\n--- want ---\n%s",
+			csv, golden, got, want)
 	}
 }
