@@ -66,9 +66,12 @@ type Recorder interface {
 
 // RunMeasure is one run's outcome.
 type RunMeasure struct {
-	Seed       uint64
-	Ops        int64   // ops completing inside the measurement window
-	Throughput float64 // ops/sec over the measurement window
+	Seed uint64
+	// Ops counts the measured kinds' ops completing at or after the
+	// measurement window's start. Each thread's last op may finish
+	// past the horizon and is counted too.
+	Ops        int64
+	Throughput float64 // Ops per second of the measurement window
 	CacheBytes int64   // the cache size this run actually drew
 	HitRatio   float64
 	Hist       *metrics.Histogram
@@ -342,9 +345,9 @@ func (e *Experiment) runOnce(seed uint64) (RunMeasure, error) {
 		return RunMeasure{}, err
 	}
 
-	// Throughput over the measurement window: count series buckets in
-	// the tail.
-	m.Ops = countOpsSince(m.Series, e.Duration-window)
+	// Throughput over the measurement window: the histogram already
+	// holds exactly the window's ops of the measured kinds.
+	m.Ops = m.Hist.Count()
 	m.Throughput = float64(m.Ops) / window.Seconds()
 	// Pool the hit ratio over shard caches (a single mount reduces to
 	// its own ratio).
@@ -360,16 +363,6 @@ func (e *Experiment) runOnce(seed uint64) (RunMeasure, error) {
 	m.Load = eng.Load()
 	m.Errors = eng.Counter().Errors
 	return m, nil
-}
-
-// countOpsSince sums series events at or after the offset.
-func countOpsSince(ts *metrics.TimeSeries, since sim.Time) int64 {
-	firstBucket := int(since / ts.Interval())
-	var n int64
-	for i := firstBucket; i < ts.Buckets(); i++ {
-		n += ts.Count(i)
-	}
-	return n
 }
 
 // flags inspects the aggregate for the three refusal conditions.
