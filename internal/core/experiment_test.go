@@ -54,3 +54,41 @@ func TestThroughputWindowAlignment(t *testing.T) {
 		}
 	}
 }
+
+// TestSteadyRunIsStationary checks that a flat throughput curve is not
+// flagged: the ops each thread finishes past the horizon must not
+// show up as a last, nearly empty bucket.
+func TestSteadyRunIsStationary(t *testing.T) {
+	res, err := cachedRead(100*sim.Second, 0).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.PerRun[0].Series.Buckets(); n != 10 {
+		t.Errorf("100 s run kept %d series buckets, want 10", n)
+	}
+	if res.Flags.NonStationary {
+		t.Errorf("steady cached read flagged non-stationary; curve %v", res.PerRun[0].Series.Rates())
+	}
+}
+
+// TestWarmupIsNonStationary checks the flag still fires on Figure 2's
+// transition: a cold read of a file the size of the cache, whose
+// throughput keeps climbing as the cache warms.
+func TestWarmupIsNonStationary(t *testing.T) {
+	res, err := (&Experiment{
+		Name:      "warmup",
+		Stack:     PaperStack(),
+		Workload:  workload.RandomRead(410<<20, 2<<10, 1),
+		Runs:      1,
+		Duration:  100 * sim.Second,
+		ColdCache: true,
+		Seed:      5,
+		Kinds:     []workload.OpKind{workload.OpReadRand},
+	}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Flags.NonStationary {
+		t.Errorf("cold 410 MB read not flagged non-stationary; curve %v", res.PerRun[0].Series.Rates())
+	}
+}

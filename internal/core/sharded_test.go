@@ -28,8 +28,8 @@ func shardedDetExperiment(shards, parallelism int) *Experiment {
 // per shard count. A kernel change that keeps repeats identical but
 // moves any number still fails here.
 var shardedDetDigests = map[int]string{
-	2: "a56f65ef51c068b3eab25f1a33c7a29c99efa7108beb1f9e98c07c4b512c4169",
-	4: "50aacde0b9873ab907ca9a64b6a2f223bd6f5e63c369fd785499ca37173ab58e",
+	2: "1814b856e5b1b9cef734b068d1d032fe8c2694e56ab6d1b7e5bedc99f0572180",
+	4: "158e79ca541b1c0085f478a831497db8a4e5e65d32273b5ff18a395fde3497de",
 }
 
 // TestExperimentShardedDeterminism is the sharded half of the

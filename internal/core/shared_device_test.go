@@ -58,7 +58,7 @@ func TestExperimentSharedDeviceDeterminism(t *testing.T) {
 // sharedFourShardDigest pins fingerprintDigest of the shards=4
 // shared-device point, so the star schedule is held fixed across
 // commits and not only across repeats.
-const sharedFourShardDigest = "0faa2224123832c9b7579a71619988cec393aeccdef258b24124bad1fef6bbca"
+const sharedFourShardDigest = "a71647ef331971ca78773c4acae0817060e97b37d2d2748c340396af6153a8aa"
 
 // TestExperimentSharedDeviceRepeatAtFourShards covers the wider
 // partition once (the 2-shard matrix above carries the scheduling

@@ -258,6 +258,27 @@ func TestTimeSeries(t *testing.T) {
 	}
 }
 
+func TestTimeSeriesTruncate(t *testing.T) {
+	ts := NewTimeSeriesOffset(10*sim.Second, 5*sim.Second)
+	for at := 5 * sim.Second; at <= 36*sim.Second; at += sim.Second {
+		ts.Add(at, 1)
+	}
+	// Buckets start at 5, 15, 25 and 35 s; the one from 35 s is cut
+	// short by a horizon at 35 s and must go.
+	ts.Truncate(35 * sim.Second)
+	if ts.Buckets() != 3 || ts.Total() != 30 {
+		t.Fatalf("after Truncate(35s): %d buckets, %d events; want 3, 30", ts.Buckets(), ts.Total())
+	}
+	ts.Truncate(34 * sim.Second)
+	if ts.Buckets() != 2 {
+		t.Fatalf("after Truncate(34s): %d buckets, want 2", ts.Buckets())
+	}
+	ts.Truncate(0)
+	if ts.Buckets() != 0 || ts.Total() != 0 {
+		t.Fatalf("a horizon before the offset left %d buckets", ts.Buckets())
+	}
+}
+
 func TestTimeSeriesNegativeTimeClamped(t *testing.T) {
 	ts := NewTimeSeries(sim.Second)
 	ts.Add(-5, 1)

@@ -76,6 +76,17 @@ func (ts *TimeSeries) Add(t sim.Time, value float64) {
 	ts.values[idx] += value
 }
 
+// Truncate drops every bucket that does not end by until. A bucket
+// cut short by the end of a run holds only part of an interval's
+// events, yet Rate divides by the whole interval.
+func (ts *TimeSeries) Truncate(until sim.Time) {
+	n := max(0, int((until-ts.offset)/ts.interval))
+	if n < len(ts.counts) {
+		ts.counts = ts.counts[:n]
+		ts.values = ts.values[:n]
+	}
+}
+
 // Buckets reports how many intervals have been touched.
 func (ts *TimeSeries) Buckets() int { return len(ts.counts) }
 
