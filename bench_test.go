@@ -443,7 +443,7 @@ func BenchmarkContention(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		return res.Throughput.Mean, float64(res.Hist.Percentile(99)) / 1e6
+		return res.Throughput.Mean, float64(res.Hist.Quantile(P99)) / 1e6
 	}
 	for _, dev := range []string{"hdd", "nvme"} {
 		for _, depth := range []int{1, 32} {
@@ -568,7 +568,7 @@ func BenchmarkContention(b *testing.B) {
 				b.Fatal(err)
 			}
 			tp = res.Throughput.Mean
-			p99 = float64(res.Hist.Percentile(99)) / 1e6
+			p99 = float64(res.Hist.Quantile(P99)) / 1e6
 			done = res.Load.CompletionRatio()
 		}
 		b.ReportMetric(tp, "ops/s")

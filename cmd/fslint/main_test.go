@@ -14,12 +14,12 @@ import (
 // decoder that downstream tooling would use.
 func TestJSONOutput(t *testing.T) {
 	var buf bytes.Buffer
-	diags, err := run([]string{"../../internal/analysis/testdata/percentile"}, true, &buf)
+	diags, err := run([]string{"../../internal/analysis/testdata/ownerstamp"}, true, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diags) != 4 {
-		t.Fatalf("percentile fixture has 4 unsuppressed findings, got %d: %v", len(diags), diags)
+	if len(diags) != 3 {
+		t.Fatalf("ownerstamp fixture has 3 unsuppressed findings, got %d: %v", len(diags), diags)
 	}
 	if got := strings.Count(buf.String(), "\n"); got != len(diags) {
 		t.Errorf("want one JSON line per diagnostic, got %d lines for %d findings", got, len(diags))
@@ -32,10 +32,10 @@ func TestJSONOutput(t *testing.T) {
 		if d != diags[i] {
 			t.Errorf("diagnostic %d changed in transit: %+v vs %+v", i, d, diags[i])
 		}
-		if d.Rule != "percentile" {
-			t.Errorf("diagnostic %d: rule %q, want percentile", i, d.Rule)
+		if d.Rule != "ownerstamp" {
+			t.Errorf("diagnostic %d: rule %q, want ownerstamp", i, d.Rule)
 		}
-		if d.File != "internal/analysis/testdata/percentile/fixture.go" {
+		if d.File != "internal/analysis/testdata/ownerstamp/fixture.go" {
 			t.Errorf("diagnostic %d: position %q not module-root-relative", i, d.File)
 		}
 	}

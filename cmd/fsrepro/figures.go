@@ -496,7 +496,7 @@ func figureContention(proto Protocol) error {
 		c := depthCurve{depth: depth}
 		for _, p := range res.Points {
 			c.tp = append(c.tp, p.Result.Throughput.Mean)
-			c.p99ms = append(c.p99ms, float64(p.Result.Hist.Percentile(99))/1e6)
+			c.p99ms = append(c.p99ms, float64(p.Result.Hist.Quantile(fsbench.P99))/1e6)
 		}
 		curves = append(curves, c)
 	}
@@ -637,7 +637,7 @@ func figureFairness(proto Protocol) error {
 		for o, n := range ops {
 			p99 := int64(0)
 			if h := sr.res.PerOwner.Hist(o); h != nil {
-				p99 = h.Percentile(99)
+				p99 = h.Quantile(fsbench.P99)
 			}
 			rows = append(rows, []string{
 				sr.name,
@@ -905,9 +905,9 @@ func figureOpenLoop(proto Protocol) error {
 		pts = append(pts, point{
 			frac: frac, rate: rateOffered,
 			closedTP:    cRes.Throughput.Mean,
-			closedP99ms: float64(cRes.Hist.Percentile(99)) / 1e6,
+			closedP99ms: float64(cRes.Hist.Quantile(fsbench.P99)) / 1e6,
 			openTP:      oRes.Throughput.Mean,
-			openP99ms:   float64(oRes.Hist.Percentile(99)) / 1e6,
+			openP99ms:   float64(oRes.Hist.Quantile(fsbench.P99)) / 1e6,
 			offered:     oRes.Load.Offered,
 			completed:   oRes.Load.Completed,
 			backlog:     oRes.Load.BacklogPeak,
@@ -1082,7 +1082,7 @@ func figureTraceReplay(proto Protocol) error {
 		if err != nil {
 			return err
 		}
-		p99ms := float64(res.Hist.Percentile(99)) / 1e6
+		p99ms := float64(res.Hist.Quantile(fsbench.P99)) / 1e6
 		// A closed loop never touches the load gauge: its completion
 		// ratio is 1 by construction, which is exactly the number that
 		// hides the knee.

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/warehouse"
@@ -173,7 +174,7 @@ func queryStats(set warehouse.Set) error {
 	h := set.MergedHist()
 	if h.Count() > 0 {
 		fmt.Printf("latency:    mean=%.0f ns  p50=%d  p99=%d  (%d ops)\n",
-			h.Mean(), h.Percentile(50), h.Percentile(99), h.Count())
+			h.Mean(), h.Quantile(metrics.P50), h.Quantile(metrics.P99), h.Count())
 		fmt.Println()
 		return report.Histogram(os.Stdout, "pooled operation latency (log2 buckets)", h)
 	}

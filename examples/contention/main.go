@@ -55,7 +55,7 @@ func main() {
 		for _, p := range res.Points {
 			results[depth] = append(results[depth], point{
 				tp:    p.Result.Throughput.Mean,
-				p99ms: float64(p.Result.Hist.Percentile(99)) / 1e6,
+				p99ms: float64(p.Result.Hist.Quantile(fsbench.P99)) / 1e6,
 			})
 		}
 	}

@@ -44,7 +44,7 @@ func main() {
 			log.Fatal(err)
 		}
 		mean := res.Hist.Mean()
-		p50 := res.Hist.Percentile(50)
+		p50 := res.Hist.Quantile(fsbench.P50)
 		fmt.Printf("  mean=%.0fns p50<=%dns modes=%v bimodal=%v\n",
 			mean, p50, res.Hist.Modes(0.05), res.Flags.Bimodal)
 		if res.Flags.Bimodal {

@@ -53,7 +53,7 @@ func main() {
 			log.Fatal(err)
 		}
 		rows = append(rows, row{label, res.Throughput.Mean,
-			float64(res.Hist.Percentile(99)) / 1e3})
+			float64(res.Hist.Quantile(fsbench.P99)) / 1e3})
 	}
 
 	// The disk gets a longer window (it does ~100 ops/s); the NVMe

@@ -76,8 +76,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		lastClosed = float64(cRes.Hist.Percentile(99)) / 1e6
-		lastOpen = float64(oRes.Hist.Percentile(99)) / 1e6
+		lastClosed = float64(cRes.Hist.Quantile(fsbench.P99)) / 1e6
+		lastOpen = float64(oRes.Hist.Quantile(fsbench.P99)) / 1e6
 		t.AddRow(
 			fmt.Sprintf("%.2fx", frac),
 			fmt.Sprintf("%.0f", cRes.Throughput.Mean),

@@ -298,6 +298,9 @@ func FormatWDL(w *Workload) string { return workload.FormatWDL(w) }
 type (
 	// Histogram is a log2 latency histogram (Figures 3 and 4).
 	Histogram = metrics.Histogram
+	// Quantile is a rank written as a fraction in [0, 1], as
+	// Histogram.Quantile takes it: 0.99 is p99.
+	Quantile = metrics.Quantile
 	// TimeSeries is a throughput-over-time curve (Figure 2).
 	TimeSeries = metrics.TimeSeries
 	// HistogramTimeline is a latency histogram per interval (Figure 4).
@@ -311,6 +314,12 @@ type (
 	// Summary is the descriptive-statistics bundle (mean, σ, RSD,
 	// 95% CI).
 	Summary = stats.Summary
+)
+
+// The latency ranks the harness reports.
+const (
+	P50 = metrics.P50
+	P99 = metrics.P99
 )
 
 // JainIndex computes the Jain fairness index of an allocation: 1.0

@@ -91,7 +91,6 @@ func runFixture(t *testing.T, a *Analyzer, name string) {
 
 func TestMapRangeFixture(t *testing.T)       { runFixture(t, MapRange, "maprange") }
 func TestWallTimeFixture(t *testing.T)       { runFixture(t, WallTime, "walltime") }
-func TestPercentileFixture(t *testing.T)     { runFixture(t, Percentile, "percentile") }
 func TestOwnerStampFixture(t *testing.T)     { runFixture(t, OwnerStamp, "ownerstamp") }
 func TestStringerFreezeFixture(t *testing.T) { runFixture(t, StringerFreeze, "stringerfreeze") }
 
@@ -151,7 +150,7 @@ func TestRepoIsClean(t *testing.T) {
 func TestJSONRoundTrip(t *testing.T) {
 	in := []Diagnostic{
 		{Rule: "maprange", File: "internal/sim/x.go", Line: 10, Col: 2, Message: "range over map map[int]bool: iteration order is randomized"},
-		{Rule: "percentile", File: "internal/metrics/h.go", Line: 3, Col: 14, Message: `constant 0.99 passed to Percentile — "p99" is 99`},
+		{Rule: "ownerstamp", File: "internal/vfs/x.go", Line: 3, Col: 14, Message: "device.Request literal without Owner: the request will run as OwnerNone"},
 		{Rule: "fslint", File: "a.go", Line: 1, Col: 1, Message: "malformed ignore"},
 	}
 	var buf bytes.Buffer

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -118,8 +119,8 @@ func TestQueueDepthChangesContention(t *testing.T) {
 	// Reordering trades tail latency for throughput: the deep queue's
 	// p99 must not be better than its median by less than the shallow
 	// queue's ratio (i.e. the tail stretches relative to the middle).
-	shallowSpread := float64(shallow.Hist.Percentile(99)) / float64(shallow.Hist.Percentile(50))
-	deepSpread := float64(deep.Hist.Percentile(99)) / float64(deep.Hist.Percentile(50))
+	shallowSpread := float64(shallow.Hist.Quantile(metrics.P99)) / float64(shallow.Hist.Quantile(metrics.P50))
+	deepSpread := float64(deep.Hist.Quantile(metrics.P99)) / float64(deep.Hist.Quantile(metrics.P50))
 	if deepSpread <= shallowSpread {
 		t.Logf("note: qd32 p99/p50 spread %.1f not above qd1 %.1f (acceptable but unexpected)",
 			deepSpread, shallowSpread)

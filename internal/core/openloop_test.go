@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -82,7 +83,7 @@ func TestArrivalRateSweep(t *testing.T) {
 		t.Errorf("backlog peak %d at high rate not above %d at low rate",
 			high.Load.BacklogPeak, low.Load.BacklogPeak)
 	}
-	if hp, lp := high.Hist.Percentile(99), low.Hist.Percentile(99); hp < 10*lp {
+	if hp, lp := high.Hist.Quantile(metrics.P99), low.Hist.Quantile(metrics.P99); hp < 10*lp {
 		t.Errorf("above-capacity p99 %v not ≫ below-capacity p99 %v", sim.Time(hp), sim.Time(lp))
 	}
 }

@@ -101,7 +101,7 @@ func (p *PerOwner) Spread(n int) OwnerSpread {
 		if h == nil || h.Count() == 0 {
 			continue
 		}
-		p99 := h.Percentile(99)
+		p99 := h.Quantile(P99)
 		if p99 > s.WorstP99 {
 			s.WorstP99 = p99
 		}

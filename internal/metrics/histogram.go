@@ -109,33 +109,32 @@ func (h *Histogram) Percentages() [NumBuckets]float64 {
 	return out
 }
 
-// StrictPercentiles, when set, makes Percentile panic on a p in the
-// open interval (0, 1): the API takes percents (0–100), and a caller
-// passing a fraction — h.Percentile(0.99) for "p99" — would otherwise
-// silently get roughly the 1st percentile. Tests enable it; production
-// leaves it off because sub-1 percentiles (p0.5) are legitimate, if
-// rare.
-var StrictPercentiles bool
+// Quantile is a rank in a distribution, written as a fraction in
+// [0, 1]: 0.5 is the median and 0.99 the 99th percentile.
+// Histogram.Quantile panics on any other value, NaN included, so the
+// percent spelling (99 for p99) fails on its first call instead of
+// reading some other rank.
+type Quantile float64
 
-// Percentile returns an upper bound for the p-th percentile latency
-// (0 < p <= 100) using bucket upper edges — conservative, as a
-// latency reporter should be. p is a percent, not a fraction:
-// h.Percentile(99) is p99; h.Percentile(0.99) is just below p1 (see
-// StrictPercentiles).
-func (h *Histogram) Percentile(p float64) int64 {
-	if StrictPercentiles && p > 0 && p < 1 {
-		panic(fmt.Sprintf("metrics: Percentile(%v) — p is a percent (0-100), not a fraction; did you mean %v?", p, p*100))
+// The ranks the harness reports.
+const (
+	P50 Quantile = 0.5
+	P99 Quantile = 0.99
+)
+
+// Quantile returns an upper bound for the q-quantile latency: the
+// upper edge of the bucket that holds the ceil(q·count)-th smallest
+// observation, capped at the largest one — conservative, as a
+// latency reporter should be. It returns 0 for q = 0 and for an
+// empty histogram, and panics on a q outside [0, 1].
+func (h *Histogram) Quantile(q Quantile) int64 {
+	if !(q >= 0 && q <= 1) {
+		panic(fmt.Sprintf("metrics: quantile %v outside [0, 1]; write it as a fraction, 0.99 for p99", float64(q)))
 	}
-	if h.count == 0 || p <= 0 {
+	if h.count == 0 || q == 0 {
 		return 0
 	}
-	if p > 100 {
-		p = 100
-	}
-	target := int64(math.Ceil(p / 100 * float64(h.count)))
-	if target < 1 {
-		target = 1
-	}
+	target := int64(math.Ceil(float64(q) * float64(h.count)))
 	var cum int64
 	for b, c := range h.buckets {
 		cum += c

@@ -107,12 +107,12 @@ func TestMergeInvariants(t *testing.T) {
 				t.Fatalf("trial %d: bucket %d not additive", trial, bkt)
 			}
 		}
-		// A pooled percentile cannot leave the envelope of its parts.
-		for _, p := range []float64{50, 90, 99, 100} {
-			lo := min(a.Percentile(p), b.Percentile(p))
-			hi := max(a.Percentile(p), b.Percentile(p))
-			if got := m.Percentile(p); got < lo || got > hi {
-				t.Fatalf("trial %d: merged p%v = %d outside [%d, %d]", trial, p, got, lo, hi)
+		// A pooled quantile cannot leave the envelope of its parts.
+		for _, q := range []Quantile{P50, 0.9, P99, 1} {
+			lo := min(a.Quantile(q), b.Quantile(q))
+			hi := max(a.Quantile(q), b.Quantile(q))
+			if got := m.Quantile(q); got < lo || got > hi {
+				t.Fatalf("trial %d: merged q%v = %d outside [%d, %d]", trial, q, got, lo, hi)
 			}
 		}
 	}

@@ -1,7 +1,7 @@
 package metrics
 
 import (
-	"os"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -74,56 +74,50 @@ func TestHistogramPercentile(t *testing.T) {
 		h.Record(1000)
 	}
 	h.Record(sim.Time(100 * sim.Millisecond))
-	p50 := h.Percentile(50)
+	p50 := h.Quantile(P50)
 	if p50 > 2047 {
 		t.Errorf("p50 = %d, want within bucket of 1000ns", p50)
 	}
-	p999 := h.Percentile(99.9)
+	p999 := h.Quantile(0.999)
 	if p999 < int64(50*sim.Millisecond) {
 		t.Errorf("p99.9 = %d, want to reach the outlier bucket", p999)
 	}
-	if (&Histogram{}).Percentile(50) != 0 {
+	if (&Histogram{}).Quantile(P50) != 0 {
 		t.Error("empty percentile != 0")
 	}
 }
 
-// TestMain runs the whole package strict: any test that slips a
-// fraction into Percentile panics instead of silently reading ~p1.
-func TestMain(m *testing.M) {
-	StrictPercentiles = true
-	os.Exit(m.Run())
-}
-
-// TestPercentileFractionFootgun pins the fraction-vs-percent API
-// hazard: Percentile takes 0–100, so a caller writing the fraction
-// 0.99 for "p99" silently gets roughly p1 — and the StrictPercentiles
-// debug guard (armed suite-wide by TestMain) turns exactly that
-// mistake into a panic.
-func TestPercentileFractionFootgun(t *testing.T) {
+// TestHistogramQuantileRange pins the rank type's contract: every
+// fraction in [0, 1] is accepted and a higher rank never reads lower,
+// while a value outside [0, 1] (the percent spelling 99 included) or
+// NaN panics.
+func TestHistogramQuantileRange(t *testing.T) {
 	var h Histogram
-	for i := 1; i <= 100; i++ {
-		h.Record(sim.Time(i) * sim.Millisecond)
+	for i := 1; i <= 1000; i++ {
+		h.Record(sim.Time(i) * sim.Microsecond)
 	}
-	// The footgun with the guard off: the fraction lands at or below
-	// p1, nowhere near p99.
-	StrictPercentiles = false
-	//fslint:ignore percentile deliberate footgun probe: asserts what the fraction spelling returns
-	got, p1, p99 := h.Percentile(0.99), h.Percentile(1), h.Percentile(99)
-	StrictPercentiles = true
-	if got > p1 || got >= p99 {
-		t.Errorf("Percentile(0.99) = %d, want ≤ p1 (%d) and far below p99 (%d)", got, p1, p99)
-	}
-	// Whole percents (and the edge values) still work under the guard.
-	if h.Percentile(99) == 0 || h.Percentile(1) == 0 || h.Percentile(0) != 0 {
-		t.Error("strict mode broke legitimate percent arguments")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("StrictPercentiles did not panic on Percentile(0.99)")
+	prev := int64(-1)
+	for _, q := range []Quantile{0, 0.001, 0.25, 0.5, 0.99, 0.999, 1} {
+		got := h.Quantile(q)
+		if got < prev {
+			t.Errorf("Quantile(%v) = %d, below the previous rank's %d", q, got, prev)
 		}
-	}()
-	//fslint:ignore percentile deliberate footgun probe: asserts the strict-mode panic
-	h.Percentile(0.99)
+		prev = got
+	}
+	if h.Quantile(0) != 0 || h.Quantile(1) != h.Max() {
+		t.Errorf("Quantile(0) = %d, Quantile(1) = %d; want 0 and the max %d",
+			h.Quantile(0), h.Quantile(1), h.Max())
+	}
+	for _, q := range []Quantile{-0.01, 1.01, 99, Quantile(math.NaN())} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Quantile(%v) did not panic", q)
+				}
+			}()
+			h.Quantile(q)
+		}()
+	}
 }
 
 func TestHistogramMerge(t *testing.T) {

@@ -216,7 +216,7 @@ func pow10(v float64) float64 { return math.Pow(10, v) }
 // bucket, labeled with both bucket number and human latency.
 func Histogram(w io.Writer, title string, h *metrics.Histogram) error {
 	if _, err := fmt.Fprintf(w, "%s  (n=%d, mean=%s, p50<=%s, p99<=%s)\n",
-		title, h.Count(), fmtNs(int64(h.Mean())), fmtNs(h.Percentile(50)), fmtNs(h.Percentile(99))); err != nil {
+		title, h.Count(), fmtNs(int64(h.Mean())), fmtNs(h.Quantile(metrics.P50)), fmtNs(h.Quantile(metrics.P99))); err != nil {
 		return err
 	}
 	pct := h.Percentages()

@@ -101,74 +101,51 @@ func TestWelchDegenerateSamples(t *testing.T) {
 }
 
 func TestPercentileEdgeCases(t *testing.T) {
-	// A singleton answers every percentile with its only value.
-	for _, p := range []float64{0, 1, 50, 99, 100} {
-		if got := Percentile([]float64{42}, p); got != 42 {
-			t.Fatalf("Percentile([42], %v) = %v, want 42", p, got)
+	// A singleton answers every quantile with its only value.
+	for _, q := range []float64{0, 0.01, 0.5, 0.99, 1} {
+		if got := quantile([]float64{42}, q); got != 42 {
+			t.Fatalf("quantile([42], %v) = %v, want 42", q, got)
 		}
 	}
 	// An all-equal sample has a degenerate distribution.
 	eq := []float64{7, 7, 7, 7}
-	for _, p := range []float64{0, 25, 50, 75, 100} {
-		if got := Percentile(eq, p); got != 7 {
-			t.Fatalf("Percentile(all-7s, %v) = %v, want 7", p, got)
+	for _, q := range []float64{0, 0.25, 0.5, 0.75, 1} {
+		if got := quantile(eq, q); got != 7 {
+			t.Fatalf("quantile(all-7s, %v) = %v, want 7", q, got)
 		}
 	}
-	// Out-of-range percents clamp to the extremes.
+	// Out-of-range ranks read as the extremes.
 	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	if got := Percentile(xs, -5); got != 1 {
-		t.Fatalf("Percentile(xs, -5) = %v, want min 1", got)
+	if got := quantile(xs, -0.05); got != 1 {
+		t.Fatalf("quantile(xs, -0.05) = %v, want min 1", got)
 	}
-	if got := Percentile(xs, 250); got != 9 {
-		t.Fatalf("Percentile(xs, 250) = %v, want max 9", got)
+	if got := quantile(xs, 2.5); got != 9 {
+		t.Fatalf("quantile(xs, 2.5) = %v, want max 9", got)
 	}
-	if Percentile(nil, 50) != 0 {
-		t.Fatal("empty-sample percentile not 0")
+	if quantile(nil, 0.5) != 0 {
+		t.Fatal("empty-sample quantile not 0")
 	}
 }
 
-// TestPercentileMonotoneInP checks order preservation: a higher
-// percent never returns a smaller value, and every answer stays
-// inside [min, max].
+// TestPercentileMonotoneInP checks order preservation: a higher rank
+// never returns a smaller value, and every answer stays inside
+// [min, max].
 func TestPercentileMonotoneInP(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 100; trial++ {
 		xs := sample(rng, 1+rng.Intn(20), 50, 10)
 		prev := math.Inf(-1)
-		for p := 0.0; p <= 100; p += 2.5 {
-			got := Percentile(xs, p)
+		for i := 0; i <= 40; i++ {
+			q := float64(i) / 40
+			got := quantile(xs, q)
 			if got < prev {
-				t.Fatalf("trial %d: Percentile(%v) = %v < previous %v", trial, p, got, prev)
+				t.Fatalf("trial %d: quantile(%v) = %v < previous %v", trial, q, got, prev)
 			}
 			if got < Min(xs) || got > Max(xs) {
-				t.Fatalf("trial %d: Percentile(%v) = %v outside [%v, %v]",
-					trial, p, got, Min(xs), Max(xs))
+				t.Fatalf("trial %d: quantile(%v) = %v outside [%v, %v]",
+					trial, q, got, Min(xs), Max(xs))
 			}
 			prev = got
-		}
-	}
-}
-
-// TestStrictPercentileBoundaries pins the guard's exact interval: the
-// open interval (0, 1) panics under StrictPercentiles (those are
-// almost certainly fractions), while 0, 1, and everything above pass —
-// p1 is a legitimate percentile.
-func TestStrictPercentileBoundaries(t *testing.T) {
-	xs := []float64{1, 2, 3}
-	panics := func(p float64) (panicked bool) {
-		defer func() { panicked = recover() != nil }()
-		Percentile(xs, p)
-		return
-	}
-	// The suite runs with StrictPercentiles armed by TestMain.
-	for _, p := range []float64{0.01, 0.5, 0.99} {
-		if !panics(p) {
-			t.Errorf("strict mode let fraction-looking p=%v through", p)
-		}
-	}
-	for _, p := range []float64{0, 1, 1.5, 50, 100} {
-		if panics(p) {
-			t.Errorf("strict mode panicked on legitimate p=%v", p)
 		}
 	}
 }

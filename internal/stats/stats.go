@@ -13,7 +13,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -87,35 +86,23 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// StrictPercentiles, when set, makes Percentile panic on a p in the
-// open interval (0, 1): the API takes percents (0–100), and a caller
-// passing a fraction — Percentile(xs, 0.99) for "p99" — would
-// otherwise silently get roughly the 1st percentile. Tests enable it;
-// production leaves it off because sub-1 percentiles (p0.5) are
-// legitimate, if rare.
-var StrictPercentiles bool
-
-// Percentile returns the p-th percentile (0<=p<=100) using linear
-// interpolation between order statistics. p is a percent, not a
-// fraction: Percentile(xs, 99) is p99; Percentile(xs, 0.99) is just
-// below p1 (see StrictPercentiles).
-func Percentile(xs []float64, p float64) float64 {
-	if StrictPercentiles && p > 0 && p < 1 {
-		panic(fmt.Sprintf("stats: Percentile(%v) — p is a percent (0-100), not a fraction; did you mean %v?", p, p*100))
-	}
+// quantile returns the q-quantile of xs, q a fraction in [0, 1], by
+// linear interpolation between order statistics. A q outside [0, 1]
+// reads as the nearer extreme.
+func quantile(xs []float64, q float64) float64 {
 	n := len(xs)
 	if n == 0 {
 		return 0
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	if p <= 0 {
+	if q <= 0 {
 		return sorted[0]
 	}
-	if p >= 100 {
+	if q >= 1 {
 		return sorted[n-1]
 	}
-	rank := p / 100 * float64(n-1)
+	rank := q * float64(n-1)
 	lo := int(rank)
 	frac := rank - float64(lo)
 	if lo+1 >= n {
@@ -124,8 +111,8 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
-// Median returns the 50th percentile.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
+// Median returns the 0.5-quantile.
+func Median(xs []float64) float64 { return quantile(xs, 0.5) }
 
 // Summary is the descriptive statistics bundle a multi-run experiment
 // reports for one configuration.

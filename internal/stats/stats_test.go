@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"os"
 	"testing"
 	"testing/quick"
 
@@ -47,63 +46,26 @@ func TestRelStdDev(t *testing.T) {
 
 func TestPercentileInterpolation(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
-	if p := Percentile(xs, 50); p != 3 {
+	if p := quantile(xs, 0.5); p != 3 {
 		t.Fatalf("p50 = %v", p)
 	}
-	if p := Percentile(xs, 0); p != 1 {
+	if p := quantile(xs, 0); p != 1 {
 		t.Fatalf("p0 = %v", p)
 	}
-	if p := Percentile(xs, 100); p != 5 {
+	if p := quantile(xs, 1); p != 5 {
 		t.Fatalf("p100 = %v", p)
 	}
-	if p := Percentile(xs, 25); p != 2 {
+	if p := quantile(xs, 0.25); p != 2 {
 		t.Fatalf("p25 = %v, want 2", p)
 	}
 	// Unsorted input must not matter.
-	if p := Percentile([]float64{5, 1, 3, 2, 4}, 50); p != 3 {
+	if p := quantile([]float64{5, 1, 3, 2, 4}, 0.5); p != 3 {
 		t.Fatalf("unsorted p50 = %v", p)
 	}
 }
 
-// TestMain runs the whole package strict: any test that slips a
-// fraction into Percentile panics instead of silently reading ~p1.
-func TestMain(m *testing.M) {
-	StrictPercentiles = true
-	os.Exit(m.Run())
-}
-
-// TestPercentileFractionFootgun pins the fraction-vs-percent API
-// hazard: Percentile takes 0–100, so passing 0.99 for "p99" silently
-// returns a value near the sample minimum — and the StrictPercentiles
-// debug guard (armed suite-wide by TestMain) turns exactly that
-// mistake into a panic.
-func TestPercentileFractionFootgun(t *testing.T) {
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = float64(i + 1)
-	}
-	// The footgun with the guard off: near the minimum, nowhere near 99.
-	StrictPercentiles = false
-	//fslint:ignore percentile deliberate footgun probe: asserts what the fraction spelling returns
-	got, p2 := Percentile(xs, 0.99), Percentile(xs, 2)
-	StrictPercentiles = true
-	if got >= p2 {
-		t.Errorf("Percentile(0.99) = %v, want below p2 %v — the silent footgun", got, p2)
-	}
-	if Percentile(xs, 99) < 99 || Percentile(xs, 1) == 0 || Percentile(xs, 0) != 1 {
-		t.Error("strict mode broke legitimate percent arguments")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("StrictPercentiles did not panic on Percentile(0.99)")
-		}
-	}()
-	//fslint:ignore percentile deliberate footgun probe: asserts the strict-mode panic
-	Percentile(xs, 0.99)
-}
-
 func TestPercentileProperty(t *testing.T) {
-	f := func(raw []float64, pRaw uint8) bool {
+	f := func(raw []float64, qRaw uint8) bool {
 		if len(raw) == 0 {
 			return true
 		}
@@ -112,13 +74,7 @@ func TestPercentileProperty(t *testing.T) {
 				return true
 			}
 		}
-		p := float64(pRaw) / 255 * 100
-		if p > 0 && p < 1 {
-			// The suite runs with StrictPercentiles armed (TestMain),
-			// which rejects sub-1 values as probable fractions.
-			return true
-		}
-		v := Percentile(raw, p)
+		v := quantile(raw, float64(qRaw)/255)
 		return v >= Min(raw) && v <= Max(raw)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

@@ -38,6 +38,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/warehouse"
 )
@@ -196,8 +197,8 @@ type metricDef struct {
 var metricFamily = []metricDef{
 	{"ops/sec", true, warehouse.Set.Throughputs},
 	{"lat mean ns", false, warehouse.Set.LatencyMeans},
-	{"lat p50 ns", false, func(s warehouse.Set) []float64 { return s.LatencyPercentiles(50) }},
-	{"lat p99 ns", false, func(s warehouse.Set) []float64 { return s.LatencyPercentiles(99) }},
+	{"lat p50 ns", false, func(s warehouse.Set) []float64 { return s.LatencyQuantiles(metrics.P50) }},
+	{"lat p99 ns", false, func(s warehouse.Set) []float64 { return s.LatencyQuantiles(metrics.P99) }},
 	{"hit ratio", true, warehouse.Set.HitRatios},
 	{"completion", true, warehouse.Set.CompletionRatios},
 }

@@ -125,16 +125,16 @@ func (s Set) LatencyMeans() []float64 {
 	return out
 }
 
-// LatencyPercentiles pools the per-run p-th percentile latencies in
-// nanoseconds (p in percent, e.g. 99), skipping empty runs. Values
+// LatencyQuantiles pools the per-run q-quantile latencies in
+// nanoseconds (see Histogram.Quantile), skipping empty runs. Values
 // are bucket upper edges — quantized, which the gate's rank-based
 // test tolerates and its tie handling acknowledges.
-func (s Set) LatencyPercentiles(p float64) []float64 {
+func (s Set) LatencyQuantiles(q metrics.Quantile) []float64 {
 	var out []float64
 	for _, r := range s {
 		for _, m := range r.PerRun {
 			if m.Hist != nil && m.Hist.Count() > 0 {
-				out = append(out, float64(m.Hist.Percentile(p)))
+				out = append(out, float64(m.Hist.Quantile(q)))
 			}
 		}
 	}

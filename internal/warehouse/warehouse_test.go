@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -322,6 +323,39 @@ func TestQueryLayer(t *testing.T) {
 	}
 	if got := set.MergedHist().Count(); got != 10 {
 		t.Errorf("MergedHist().Count() = %d, want 10", got)
+	}
+}
+
+// TestLatencyQuantilesRange pins the pooled quantile's rank contract:
+// every fraction in [0, 1] is accepted and, run by run, a higher rank
+// never reads lower, while a value outside [0, 1] (the percent
+// spelling 99 included) or NaN panics.
+func TestLatencyQuantilesRange(t *testing.T) {
+	rec := testRecord("a", "fp1", 1, 100, 110)
+	rec.PerRun[1].Hist = histOf(sim.Microsecond, 30*sim.Microsecond, 2*sim.Millisecond)
+	set := Set{rec}
+	var prev []float64
+	for _, q := range []metrics.Quantile{0, 0.001, 0.25, 0.5, 0.99, 0.999, 1} {
+		got := set.LatencyQuantiles(q)
+		if len(got) != 2 {
+			t.Fatalf("LatencyQuantiles(%v) = %d samples, want 2", q, len(got))
+		}
+		for i := range prev {
+			if got[i] < prev[i] {
+				t.Errorf("run %d: LatencyQuantiles(%v) = %v, below the previous rank's %v", i, q, got[i], prev[i])
+			}
+		}
+		prev = got
+	}
+	for _, q := range []metrics.Quantile{-0.01, 1.01, 99, metrics.Quantile(math.NaN())} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("LatencyQuantiles(%v) did not panic", q)
+				}
+			}()
+			set.LatencyQuantiles(q)
+		}()
 	}
 }
 

@@ -41,7 +41,7 @@ func closedCapacity(t *testing.T, dur sim.Time) (opsPerSec float64, p99 int64) {
 	if e.Counter().Errors != 0 {
 		t.Fatalf("closed run errored: %+v", e.Counter())
 	}
-	return float64(e.Counter().Ops) / dur.Seconds(), hist.Percentile(99)
+	return float64(e.Counter().Ops) / dur.Seconds(), hist.Quantile(metrics.P99)
 }
 
 // TestOpenLoopClosedLoopDivergence is the acceptance test for the
@@ -90,7 +90,7 @@ func TestOpenLoopClosedLoopDivergence(t *testing.T) {
 		t.Errorf("backlog peak %d of %d offered: the over-capacity backlog should be a large fraction",
 			loadAbove.BacklogPeak, loadAbove.Offered)
 	}
-	p99Below, p99Above := histBelow.Percentile(99), histAbove.Percentile(99)
+	p99Below, p99Above := histBelow.Quantile(metrics.P99), histAbove.Quantile(metrics.P99)
 	if p99Above < 50*p99Below {
 		t.Errorf("open-loop p99 above capacity = %v, want ≫ below-capacity p99 %v (the knee)",
 			sim.Time(p99Above), sim.Time(p99Below))
@@ -146,9 +146,9 @@ func TestOpenLoopUniformAndBurst(t *testing.T) {
 	if offB < wantOffered/2 || offB > wantOffered+32 {
 		t.Errorf("burst offered %d, want ~%d (mean rate preserved)", offB, wantOffered)
 	}
-	if histB.Percentile(99) <= histU.Percentile(99) {
+	if histB.Quantile(metrics.P99) <= histU.Quantile(metrics.P99) {
 		t.Errorf("burst p99 %v not above uniform p99 %v at the same mean rate — bursts must queue",
-			sim.Time(histB.Percentile(99)), sim.Time(histU.Percentile(99)))
+			sim.Time(histB.Quantile(metrics.P99)), sim.Time(histU.Quantile(metrics.P99)))
 	}
 }
 
