@@ -257,8 +257,8 @@ func TestTimeSeriesTruncate(t *testing.T) {
 	for at := 5 * sim.Second; at <= 36*sim.Second; at += sim.Second {
 		ts.Add(at, 1)
 	}
-	// Buckets start at 5, 15, 25 and 35 s; the one from 35 s is cut
-	// short by a horizon at 35 s and must go.
+	// Buckets start at 5, 15, 25 and 35 s. With the horizon at 35 s,
+	// the last one holds only events past it and must go.
 	ts.Truncate(35 * sim.Second)
 	if ts.Buckets() != 3 || ts.Total() != 30 {
 		t.Fatalf("after Truncate(35s): %d buckets, %d events; want 3, 30", ts.Buckets(), ts.Total())
