@@ -26,8 +26,12 @@ func shardedDetExperiment(shards, parallelism int) *Experiment {
 
 // shardedDetDigests pins fingerprintDigest of shardedDetExperiment(n, 1)
 // per shard count. A kernel change that keeps repeats identical but
-// moves any number still fails here.
+// moves any number still fails here. The one-shard point is the only
+// pin whose workload exercises the engine's one-shard RNG layout
+// (Zipf filesets, creates and an open class); the figure goldens all
+// run random reads.
 var shardedDetDigests = map[int]string{
+	1: "e661e6861e106c5dd72e13b7a45ea08bb5fc43f6013f47a00b356eb979b4512a",
 	2: "1814b856e5b1b9cef734b068d1d032fe8c2694e56ab6d1b7e5bedc99f0572180",
 	4: "158e79ca541b1c0085f478a831497db8a4e5e65d32273b5ff18a395fde3497de",
 }
@@ -37,15 +41,19 @@ var shardedDetDigests = map[int]string{
 // bit-identical, and the experiment-level Parallelism (how many runs
 // execute concurrently) never moves a number — the same contract the
 // single-loop kernel holds. The reference run must also match its
-// pinned digest.
+// pinned digest. At one shard only the digest is checked:
+// TestExperimentParallelDeterminism already covers Parallelism there.
 func TestExperimentShardedDeterminism(t *testing.T) {
-	for _, shards := range []int{2, 4} {
+	for _, shards := range []int{1, 2, 4} {
 		ref, err := shardedDetExperiment(shards, 1).Run()
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		if got := fingerprintDigest(ref); got != shardedDetDigests[shards] {
 			t.Errorf("shards=%d digest %s, pinned %s", shards, got, shardedDetDigests[shards])
+		}
+		if shards == 1 {
+			continue
 		}
 		want := resultFingerprint(ref)
 		for _, par := range []int{1, 4} {
