@@ -32,7 +32,9 @@ type Protocol struct {
 	Recorder fsbench.Recorder
 	// Shards is the event-loop shard count stamped onto every
 	// figure's stack — an execution knob like Parallelism, excluded
-	// from warehouse fingerprints (DESIGN.md §9).
+	// from warehouse fingerprints (DESIGN.md §9). The trace-replay
+	// figure is the exception: it runs one stack at any setting,
+	// since trace replay and its capture are single-stack.
 	Shards int
 	// ShardMode selects the shard partitioning with Shards > 1. The
 	// default (empty, replica) is a pure execution knob; shared-device
@@ -986,14 +988,19 @@ func figureOpenLoop(proto Protocol) error {
 // stack past its knee — completion ratio falls below 1 and p99 blows
 // up — while an afap replay of the very same operations reports no
 // overload at all, because a closed loop cannot leave work unoffered.
+//
+// The figure ignores Protocol.Shards and ShardMode: its stack is one
+// stack by construction. Trace replay runs on one stack, the capture
+// records one, and a sharded capacity stage would anchor the capture
+// rate to N replicas' capacity instead of that one stack's.
 func figureTraceReplay(proto Protocol) error {
 	fmt.Println("=== Trace-replay figure: one capture, three replay disciplines ===")
 	const streams = 8
-	stack := proto.stack(fsbench.StackConfig{
+	stack := fsbench.StackConfig{
 		FS: "ext2", Device: "hdd", DiskBytes: 8 << 30,
 		RAMBytes: 64 << 20, OSReserveBytes: 13 << 20,
 		CachePolicy: "lru", Scheduler: "ncq",
-	})
+	}
 	runs, dur := proto.Runs, 40*fsbench.Second
 	if runs > 3 {
 		runs = 3

@@ -83,6 +83,22 @@ func TestFigureCSVGoldens(t *testing.T) {
 	}
 }
 
+// TestTraceReplayFigureIgnoresShards: trace replay and its capture
+// run on one stack, so the trace-replay figure must not take the
+// protocol's shard knobs. At Shards 2, in either mode, it writes
+// exactly the one-shard golden.
+func TestTraceReplayFigureIgnoresShards(t *testing.T) {
+	for _, mode := range []string{fsbench.ShardModeReplica, fsbench.ShardModeSharedDevice} {
+		proto := tinyProtocol(t)
+		proto.Shards, proto.ShardMode = 2, mode
+		silence(t)
+		if err := figureTraceReplay(proto); err != nil {
+			t.Fatalf("mode %q: %v", mode, err)
+		}
+		checkGolden(t, proto, "tracereplay.csv")
+	}
+}
+
 // checkGolden compares one CSV the figure wrote against its golden,
 // or rewrites the golden under -update.
 func checkGolden(t *testing.T, proto Protocol, csv string) {

@@ -167,6 +167,9 @@ func (e *Experiment) prepare() error {
 	if e.Runs <= 0 {
 		e.Runs = 1
 	}
+	if m := e.Stack.ShardMode; m != ShardModeReplica && m != ShardModeSharedDevice {
+		return fmt.Errorf("core: experiment %q: unknown shard mode %q", e.Name, m)
+	}
 	if e.Trace != nil {
 		if e.Workload != nil {
 			return fmt.Errorf("core: experiment %q sets both Workload and Trace", e.Name)
@@ -245,10 +248,6 @@ type engineRunner interface {
 func (e *Experiment) runOnce(seed uint64) (RunMeasure, error) {
 	rng := sim.NewRNG(seed)
 	shards := e.Stack.Shards
-	if shards > 1 && e.Stack.ShardMode != ShardModeReplica &&
-		e.Stack.ShardMode != ShardModeSharedDevice {
-		return RunMeasure{}, fmt.Errorf("core: unknown shard mode %q", e.Stack.ShardMode)
-	}
 	sharedDev := shards > 1 && e.Stack.ShardMode == ShardModeSharedDevice
 	var mounts []*vfs.Mount
 	if sharedDev {

@@ -105,12 +105,15 @@ func TestExperimentSharedDeviceMeasuresContention(t *testing.T) {
 }
 
 // TestExperimentUnknownShardModeRejected: a typo'd mode must fail
-// loudly, not silently fall back to replica semantics.
+// loudly, not silently fall back to replica semantics — at every
+// shard count, including the ones where the mode has no effect.
 func TestExperimentUnknownShardModeRejected(t *testing.T) {
-	exp := sharedDetExperiment(2, 1)
-	exp.Stack.ShardMode = "shared-disc"
-	if _, err := exp.Run(); err == nil || !strings.Contains(err.Error(), "shard mode") {
-		t.Errorf("unknown shard mode error = %v", err)
+	for _, shards := range []int{0, 1, 2} {
+		exp := sharedDetExperiment(shards, 1)
+		exp.Stack.ShardMode = "shared-disc"
+		if _, err := exp.Run(); err == nil || !strings.Contains(err.Error(), "shard mode") {
+			t.Errorf("shards=%d: unknown shard mode error = %v", shards, err)
+		}
 	}
 }
 
