@@ -83,15 +83,15 @@ type StackConfig struct {
 	// standard deviation.
 	CPUNoiseFrac float64
 
-	// Shards splits the simulation kernel: 0 or 1 runs today's single
-	// event loop (byte-for-byte unchanged); N>1 partitions the
-	// workload's threads across N parallel event-loop shards, each
-	// owning a complete stack replica, synchronized by conservative
-	// time windows (DESIGN.md §9). Results stay deterministic for a
-	// fixed (config, seed, Shards), but N>1 models N replica stacks
-	// rather than one shared device — Shards is an execution knob
-	// recorded in warehouse metadata, excluded from the config
-	// fingerprint like Parallelism.
+	// Shards splits the simulation kernel. Every run goes through the
+	// one workload engine: 0 or 1 runs it at one shard on one stack;
+	// N>1 partitions the workload's threads across N parallel
+	// event-loop shards, each owning a complete stack replica,
+	// synchronized by conservative time windows (DESIGN.md §9).
+	// Results stay deterministic for a fixed (config, seed, Shards),
+	// but N>1 models N replica stacks rather than one shared device —
+	// Shards is an execution knob recorded in warehouse metadata,
+	// excluded from the config fingerprint like Parallelism.
 	Shards int
 
 	// ShardMode selects how Shards > 1 partitions the system.
@@ -168,7 +168,8 @@ func (c StackConfig) Build(rng *sim.RNG) (*vfs.Mount, error) {
 // device, and n mounts that each get a fresh file-system instance, a
 // 1/n share of this run's page cache (one OS-reserve draw — the
 // shards model one machine, not n), and a 1/n share of any L2 tier.
-// The mounts are ready for workload.NewSharedDeviceEngine. The rng
+// At n > 1 the workload engine runs these mounts behind one device
+// shard; at n = 1 it is Build's single stack. The rng
 // draws come in one order at any n: the device split, the OS-reserve
 // draw, then each mount's L1 and L2 policy splits.
 func (c StackConfig) BuildSharedDevice(rng *sim.RNG, n int) ([]*vfs.Mount, error) {

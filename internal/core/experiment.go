@@ -228,9 +228,8 @@ func (e *Experiment) kindSet() map[workload.OpKind]bool {
 	return set
 }
 
-// engineRunner is the per-run execution surface runOnce drives —
-// satisfied by both workload.Engine (Shards <= 1) and
-// workload.ShardedEngine (Shards > 1).
+// engineRunner is the per-run execution surface runOnce drives,
+// satisfied by workload.Engine and trace.Engine.
 type engineRunner interface {
 	Setup(at sim.Time) (sim.Time, error)
 	DropCaches()
@@ -241,36 +240,26 @@ type engineRunner interface {
 }
 
 // runOnce builds a fresh stack, sets up the workload, and measures
-// one run. With Stack.Shards > 1 it builds one stack replica per
-// shard and runs the partitioned engine; the single-shard path is
-// unchanged, including its RNG consumption order, so Shards <= 1
-// results are bit-identical to the pre-sharding kernel.
+// one run. Replica sharding builds one stack per shard, each from its
+// own rng split; every other case builds BuildSharedDevice's mounts,
+// whose one-shard case is Build(rng). The workload engine reads its
+// topology from the mounts.
 func (e *Experiment) runOnce(seed uint64) (RunMeasure, error) {
 	rng := sim.NewRNG(seed)
-	shards := e.Stack.Shards
-	sharedDev := shards > 1 && e.Stack.ShardMode == ShardModeSharedDevice
 	var mounts []*vfs.Mount
-	if sharedDev {
-		var err error
-		mounts, err = e.Stack.BuildSharedDevice(rng, shards)
-		if err != nil {
-			return RunMeasure{}, err
-		}
-	} else if shards > 1 {
-		mounts = make([]*vfs.Mount, shards)
+	var err error
+	if e.Stack.ShardMode == ShardModeReplica && e.Stack.Shards > 1 {
+		mounts = make([]*vfs.Mount, e.Stack.Shards)
 		for i := range mounts {
-			m, err := e.Stack.Build(rng.Split())
-			if err != nil {
+			if mounts[i], err = e.Stack.Build(rng.Split()); err != nil {
 				return RunMeasure{}, err
 			}
-			mounts[i] = m
 		}
 	} else {
-		m, err := e.Stack.Build(rng)
+		mounts, err = e.Stack.BuildSharedDevice(rng, max(1, e.Stack.Shards))
 		if err != nil {
 			return RunMeasure{}, err
 		}
-		mounts = []*vfs.Mount{m}
 	}
 	// Per-run CPU noise: scale the tool's per-op overhead, modeling
 	// run-to-run host variation even for fully cached workloads.
@@ -285,15 +274,10 @@ func (e *Experiment) runOnce(seed uint64) (RunMeasure, error) {
 		w = &w2
 	}
 	var eng engineRunner
-	var err error
 	if e.Trace != nil {
 		eng, err = trace.NewEngine(mounts[0], e.Trace.engineConfig())
-	} else if sharedDev {
-		eng, err = workload.NewSharedDeviceEngine(mounts, w, rng.Uint64())
-	} else if shards > 1 {
-		eng, err = workload.NewShardedEngine(mounts, w, rng.Uint64())
 	} else {
-		eng, err = workload.NewEngine(mounts[0], w, rng.Uint64())
+		eng, err = workload.NewShardedEngine(mounts, w, rng.Uint64())
 	}
 	if err != nil {
 		return RunMeasure{}, err

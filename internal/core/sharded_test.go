@@ -32,16 +32,15 @@ func shardedDetExperiment(shards, parallelism int) *Experiment {
 // run random reads.
 var shardedDetDigests = map[int]string{
 	1: "e661e6861e106c5dd72e13b7a45ea08bb5fc43f6013f47a00b356eb979b4512a",
-	2: "1814b856e5b1b9cef734b068d1d032fe8c2694e56ab6d1b7e5bedc99f0572180",
-	4: "158e79ca541b1c0085f478a831497db8a4e5e65d32273b5ff18a395fde3497de",
+	2: "b136e18341c4867eca5228d6d103fc551b6b1e068cf61d0bfce33249cf7e41ee",
+	4: "025f718200b803a1dd3fdde28e65f6d2220c8eaf6bab1fc3c7eef15d03746900",
 }
 
 // TestExperimentShardedDeterminism is the sharded half of the
 // determinism matrix: at every shard count, repeated runs are
 // bit-identical, and the experiment-level Parallelism (how many runs
-// execute concurrently) never moves a number — the same contract the
-// single-loop kernel holds. The reference run must also match its
-// pinned digest. At one shard only the digest is checked:
+// execute concurrently) never moves a number. The reference run must
+// also match its pinned digest. At one shard only the digest is checked:
 // TestExperimentParallelDeterminism already covers Parallelism there.
 func TestExperimentShardedDeterminism(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
@@ -70,10 +69,9 @@ func TestExperimentShardedDeterminism(t *testing.T) {
 }
 
 // TestExperimentShardsZeroEqualsOne pins the compatibility edge:
-// Shards unset (0) and Shards=1 both take the single-loop path with
-// an unchanged RNG consumption order, so their results are
-// bit-identical — the "default 1 shard means byte-for-byte the old
-// kernel" guarantee, checked at the Result level.
+// Shards unset (0) and Shards=1 both build one stack and run the
+// engine at one shard with the same RNG consumption order, so their
+// results are bit-identical, checked at the Result level.
 func TestExperimentShardsZeroEqualsOne(t *testing.T) {
 	zero, err := determinismExperiment(1).Run()
 	if err != nil {

@@ -58,7 +58,7 @@ func TestExperimentSharedDeviceDeterminism(t *testing.T) {
 // sharedFourShardDigest pins fingerprintDigest of the shards=4
 // shared-device point, so the star schedule is held fixed across
 // commits and not only across repeats.
-const sharedFourShardDigest = "a71647ef331971ca78773c4acae0817060e97b37d2d2748c340396af6153a8aa"
+const sharedFourShardDigest = "0243a3f8ade445e86c712481dbdd27f4c59f080b8c3e4d564d9fa5383a2941dd"
 
 // TestExperimentSharedDeviceRepeatAtFourShards covers the wider
 // partition once (the 2-shard matrix above carries the scheduling
@@ -86,7 +86,7 @@ func TestExperimentSharedDeviceRepeatAtFourShards(t *testing.T) {
 // device, so adding shards must not multiply throughput the way
 // replica sharding does (where N shards mean N private devices).
 func TestExperimentSharedDeviceMeasuresContention(t *testing.T) {
-	one := sharedDetExperiment(1, 2) // shards=1: mode ignored, single loop
+	one := sharedDetExperiment(1, 2) // shards=1: one mount, no device shard
 	oneRes, err := one.Run()
 	if err != nil {
 		t.Fatal(err)

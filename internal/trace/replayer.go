@@ -323,9 +323,11 @@ func (e *Engine) Run(from, until sim.Time) (sim.Time, error) {
 		}
 	}
 	loop := sim.NewEventLoop(from)
-	if err := e.m.BeginEvents(loop); err != nil {
+	q, err := e.m.NewQueue(loop)
+	if err != nil {
 		return fail(err)
 	}
+	e.m.BeginEvents(loop, q)
 	e.runErr = nil
 	procs := e.workers
 	if open {

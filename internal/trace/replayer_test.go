@@ -278,7 +278,7 @@ func TestRunOpenErrorDoesNotLeak(t *testing.T) {
 			if _, err := eng.Run(0, noHorizon); err == nil {
 				t.Fatalf("%v: Run succeeded over a source that fails to open", mode)
 			}
-			if m.Queue() != nil {
+			if m.InEvents() {
 				t.Fatalf("%v: mount left in event mode", mode)
 			}
 			if src.live != 0 {

@@ -16,9 +16,7 @@ import (
 func TestSubmitAsyncAllocPinned(t *testing.T) {
 	m := newMount(t, 64, 0)
 	loop := sim.NewEventLoop(0)
-	if err := m.BeginEvents(loop); err != nil {
-		t.Fatal(err)
-	}
+	enterEvents(t, m, loop)
 	m.StopWriteback()
 	loop.Reserve(64)
 	req := device.Request{Op: device.Write, LBA: 4096, Sectors: 8, Owner: device.OwnerNone}
@@ -47,9 +45,7 @@ func TestSubmitAsyncAllocPinned(t *testing.T) {
 func TestMountWakeAllocFree(t *testing.T) {
 	m := newMount(t, 64, 0)
 	loop := sim.NewEventLoop(0)
-	if err := m.BeginEvents(loop); err != nil {
-		t.Fatal(err)
-	}
+	enterEvents(t, m, loop)
 	m.StopWriteback()
 	loop.Reserve(16)
 	allocs := testing.AllocsPerRun(200, func() {
@@ -67,9 +63,7 @@ func TestMountWakeAllocFree(t *testing.T) {
 func BenchmarkSubmitAsyncAlloc(b *testing.B) {
 	m := newMount(b, 64, 0)
 	loop := sim.NewEventLoop(0)
-	if err := m.BeginEvents(loop); err != nil {
-		b.Fatal(err)
-	}
+	enterEvents(b, m, loop)
 	m.StopWriteback()
 	loop.Reserve(64)
 	req := device.Request{Op: device.Write, LBA: 4096, Sectors: 8, Owner: device.OwnerNone}

@@ -20,9 +20,7 @@ func TestEventModeBlockingRead(t *testing.T) {
 	m.PC.L1.Flush()
 
 	loop := sim.NewEventLoop(0)
-	if err := m.BeginEvents(loop); err != nil {
-		t.Fatal(err)
-	}
+	enterEvents(t, m, loop)
 	// Direct BeginEvents users must release the write-back daemon
 	// themselves, or its periodic wake-up keeps the loop alive forever
 	// (the engine does this when its last thread finishes).
@@ -46,9 +44,7 @@ func TestEventModeBlockingRead(t *testing.T) {
 	// the later completion exceeds the solo latency.
 	m.PC.L1.Flush()
 	loop = sim.NewEventLoop(0)
-	if err := m.BeginEvents(loop); err != nil {
-		t.Fatal(err)
-	}
+	q := enterEvents(t, m, loop)
 	m.StopWriteback()
 	var dones []sim.Time
 	for i := 0; i < 2; i++ {
@@ -64,7 +60,8 @@ func TestEventModeBlockingRead(t *testing.T) {
 		})
 	}
 	loop.Run()
-	stats := m.EndEvents()
+	m.EndEvents()
+	stats := q.Stats()
 	if len(dones) != 2 {
 		t.Fatalf("completions = %d, want 2", len(dones))
 	}
@@ -80,16 +77,28 @@ func TestEventModeBlockingRead(t *testing.T) {
 	}
 }
 
-// TestEventModeBadScheduler ensures BeginEvents surfaces configuration
-// errors.
+// TestEventModeBadScheduler ensures NewQueue, which every engine calls
+// before the mount enters event mode, surfaces configuration errors.
 func TestEventModeBadScheduler(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scheduler = "deadline"
 	m := newMount(t, 64, 0)
 	m.cfg = cfg
-	if err := m.BeginEvents(sim.NewEventLoop(0)); err == nil {
+	if _, err := m.NewQueue(sim.NewEventLoop(0)); err == nil {
 		t.Fatal("unknown scheduler accepted")
 	}
+}
+
+// enterEvents puts m into event mode on loop over a queue of its own,
+// as the engines do, and returns the queue.
+func enterEvents(t testing.TB, m *Mount, loop *sim.EventLoop) *device.Queue {
+	t.Helper()
+	q, err := m.NewQueue(loop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.BeginEvents(loop, q)
+	return q
 }
 
 // ownerRecorder wraps a Device and records the Owner of every request
@@ -122,9 +131,7 @@ func TestEventModeOwnerSurvivesPark(t *testing.T) {
 	rec := &ownerRecorder{Device: m.Dev}
 	m.Dev = rec
 	loop := sim.NewEventLoop(0)
-	if err := m.BeginEvents(loop); err != nil {
-		t.Fatal(err)
-	}
+	enterEvents(t, m, loop)
 	m.StopWriteback()
 	// Two interleaved multi-page cold reads: each proc parks once per
 	// page, so the mount is rebound many times mid-operation.

@@ -113,7 +113,8 @@ type Stats struct {
 // setup (including trace replay's namespace reconstruction) and the
 // nano raw-device tests use it; replay itself runs in event mode.
 // Between BeginEvents and EndEvents the mount is in event mode: device
-// accesses go through a device.Queue drained by an I/O scheduler, the
+// accesses go to a Submitter the caller owns — a device.Queue drained
+// by an I/O scheduler, or a bridge to a queue on another shard — the
 // issuing process blocks until its request's completion event fires,
 // and asynchronous work (write-back, prefetch, journal pushes) merely
 // occupies the queue — so contention, queueing delay, and scheduler
@@ -131,12 +132,10 @@ type Mount struct {
 	scratch []cache.PageID // reusable buffer for dirty collection
 
 	// Event mode (nil outside BeginEvents..EndEvents).
-	loop  *sim.EventLoop
-	queue *device.Queue
-	// sub is where event-mode submissions go: the mount's own queue
-	// under BeginEvents, or a caller-provided bridge (the sharded
-	// engine's cross-shard mailbox to the device shard) under
-	// BeginEventsBridged. sub == nil means immediate mode.
+	loop *sim.EventLoop
+	// sub is where event-mode submissions go: a queue, or the sharded
+	// engine's cross-shard mailbox to the device shard. sub == nil
+	// means immediate mode.
 	sub Submitter
 	// asyncPool recycles deferred-submission events (submitAsync) so
 	// the fire-and-forget hot path allocates no closures.
@@ -215,42 +214,21 @@ func (m *Mount) Readahead() cache.Readahead { return m.ra }
 // --- Event mode ------------------------------------------------------
 
 // Submitter is where event-mode submissions go. *device.Queue
-// implements it; the sharded engine implements it with a cross-shard
-// bridge so a mount on a thread shard can submit to a queue owned by
-// the device shard. done, when non-nil, must be invoked in the
+// implements it; in its shared-device topology the workload engine
+// implements it with a cross-shard bridge so a mount on a thread shard
+// can submit to the queue owned by the device shard. done, when non-nil, must be invoked in the
 // submitting loop's context at the request's completion time.
 type Submitter interface {
 	Submit(at sim.Time, req device.Request, done func(sim.Time, error))
 }
 
-// BeginEvents switches the mount into event mode on loop: a
-// device.Queue (sized by Config.QueueDepth, drained by
-// Config.Scheduler) is placed in front of the device, the write-back
-// daemon starts as a simulated process, and subsequent operations
-// must run inside processes registered with SetProc. The workload
-// engine calls this at the start of every measured run.
-func (m *Mount) BeginEvents(loop *sim.EventLoop) error {
-	sched, err := device.NewScheduler(m.cfg.Scheduler)
-	if err != nil {
-		return err
-	}
-	m.queue = device.NewQueue(m.Dev, sched, m.cfg.QueueDepth, loop)
-	m.beginEvents(loop, m.queue)
-	return nil
-}
-
-// BeginEventsBridged switches the mount into event mode with no queue
-// of its own: submissions go through sub, which the shared-device
-// sharding mode backs with mailbox edges to the queue on the device
-// shard. Everything else — write-back daemon, dirty throttling,
-// parked processes — runs locally on loop exactly as under
-// BeginEvents.
-func (m *Mount) BeginEventsBridged(loop *sim.EventLoop, sub Submitter) {
-	m.queue = nil
-	m.beginEvents(loop, sub)
-}
-
-func (m *Mount) beginEvents(loop *sim.EventLoop, sub Submitter) {
+// BeginEvents switches the mount into event mode on loop: device
+// accesses go to sub (a device.Queue from NewQueue, or a bridge to a
+// queue on another shard), the write-back daemon starts as a
+// simulated process, and subsequent operations must run inside
+// processes registered with SetProc. The workload and trace engines
+// call it at the start of every measured run.
+func (m *Mount) BeginEvents(loop *sim.EventLoop, sub Submitter) {
 	m.loop = loop
 	m.sub = sub
 	m.flusherStop = false
@@ -258,9 +236,9 @@ func (m *Mount) beginEvents(loop *sim.EventLoop, sub Submitter) {
 }
 
 // NewQueue builds a device queue per this mount's configuration
-// (scheduler, depth) on loop, without entering event mode. The
-// sharded engine uses it to place the one shared queue on the device
-// shard while the mounts themselves run bridged.
+// (scheduler, depth) on loop, without entering event mode. Engines
+// build their queues with it before any mount enters event mode, so a
+// bad scheduler fails before a write-back daemon is spawned.
 func (m *Mount) NewQueue(loop *sim.EventLoop) (*device.Queue, error) {
 	sched, err := device.NewScheduler(m.cfg.Scheduler)
 	if err != nil {
@@ -269,24 +247,18 @@ func (m *Mount) NewQueue(loop *sim.EventLoop) (*device.Queue, error) {
 	return device.NewQueue(m.Dev, sched, m.cfg.QueueDepth, loop), nil
 }
 
-// EndEvents leaves event mode, returning the drained queue's counters
-// (zero for a bridged mount — the shared queue's owner reports them).
-// The caller must have run the loop dry first.
-func (m *Mount) EndEvents() device.QueueStats {
-	stats := device.QueueStats{}
-	if m.queue != nil {
-		stats = m.queue.Stats()
-	}
-	m.loop, m.queue, m.cur = nil, nil, nil
+// EndEvents leaves event mode. The caller must have run the loop dry
+// first; the queue's counters stay with whoever built it.
+func (m *Mount) EndEvents() {
+	m.loop, m.cur = nil, nil
 	m.sub = nil
 	m.curOwner = device.OwnerNone
 	m.flusherStop = true
 	m.dirtyWaiters = nil
-	return stats
 }
 
-// Queue exposes the event-mode device queue (nil in immediate mode).
-func (m *Mount) Queue() *device.Queue { return m.queue }
+// InEvents reports whether the mount is in event mode.
+func (m *Mount) InEvents() bool { return m.sub != nil }
 
 // SetProc binds subsequent operations to process p, submitting I/O as
 // the given requester identity (a positive owner id; the engine uses

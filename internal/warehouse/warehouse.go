@@ -97,7 +97,7 @@ type Record struct {
 	// execution knob like Parallelism, deliberately excluded from the
 	// Fingerprint, but recorded so pooled records can be audited:
 	// shards>1 runs model N replica stacks, not one shared device
-	// (DESIGN.md §9). Absent (0) means the single-loop kernel.
+	// (DESIGN.md §9). Absent (0) means one shard.
 	Shards int `json:"shards,omitempty"`
 	// ShardMode is the shard topology ("" = replica). Unlike the
 	// replica shard count, a non-empty mode changes what is measured

@@ -1,12 +1,10 @@
 package workload
 
 import (
-	"errors"
 	"fmt"
-	"strings"
+	"sync"
 
 	"repro/internal/device"
-	"repro/internal/fs"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/vfs"
@@ -71,310 +69,249 @@ func (p *Probe) record(owner int, kind OpKind, path string, offset, size int64, 
 	}
 }
 
-// fsState tracks a fileset's live files during a run.
-type fsState struct {
-	spec    FileSet
-	names   []string // existing file paths (index-addressable)
-	nextNew int      // counter for fresh names
-	zipf    *sim.Zipf
-}
-
-// threadState is one virtual thread. In a closed-loop class it is a
-// self-paced loop over the class's flowops; in an open-loop class it
-// is one worker of the class's service pool, executing op instances
-// its generator dispatched.
-type threadState struct {
-	spec *ThreadSpec
-	// owner is the thread's stable OwnerID: its index in the engine's
-	// thread list, assigned in thread-spec declaration order. Probes
-	// record per-owner stats under it; the mount submits the thread's
-	// I/O as device owner owner+1 (positive, distinct from
-	// device.OwnerNone and device.OwnerDaemon), so schedulers can
-	// attribute every request to its requester.
-	owner   int
-	now     sim.Time
-	opIdx   int
-	iter    int
-	cursors map[string]int64 // sequential-read cursors per fileset
-	fds     map[string]*vfs.FD
-	fdOrder []string // open order, so fd picks are deterministic
-	rng     *sim.RNG
-
-	// Open-loop worker state: the class this worker serves (nil for
-	// closed loops) and the arrival time of the op instance currently
-	// executing — the instant latency is measured from.
-	class   *classState
-	arrival sim.Time
-}
-
-// openLoop reports whether the thread serves an open-loop class.
-func (th *threadState) openLoop() bool { return th.class != nil }
-
-// curMap returns the sequential-cursor map ops should use: the
-// class's shared map for open-loop workers, the thread's own for
-// closed loops.
-func (th *threadState) curMap() map[string]int64 {
-	if th.class != nil {
-		return th.class.cursors
-	}
-	return th.cursors
-}
-
-// classState is one open-loop thread class's shared state: the
-// arrival backlog its generator fills, the idle workers waiting for
-// it (in park order, so wake-ups are deterministic), and the class's
-// flowop cursor — in an open loop the *sequence* of op instances
-// belongs to the class, not to any one worker. Sequential-I/O cursors
-// live here too, for the same reason: instances of one logical stream
-// land on whichever worker is free, and per-worker cursors would
-// re-read the same offsets from every worker. (Baton serialization
-// makes the shared maps safe, §4.2.)
-type classState struct {
-	spec    *ThreadSpec
-	rng     *sim.RNG    // arrival-time draws
-	queue   []arrival   // generated, not yet picked up (FIFO)
-	idle    []*sim.Proc // workers parked waiting for arrivals (FIFO)
-	genDone bool
-	opIdx   int
-	iter    int
-	cursors map[string]int64 // class-owned sequential cursors
-}
-
-// arrival is one dispatched op instance.
-type arrival struct {
-	op Flowop
-	at sim.Time
-}
-
-// nextOp advances the class's flowop cursor.
-func (cs *classState) nextOp() Flowop {
-	return advanceFlowop(cs.spec, &cs.opIdx, &cs.iter)
-}
-
-// advanceFlowop returns the flowop at the (opIdx, iter) cursor and
-// advances it, honoring Iters. The closed-loop step (per-thread
-// cursor) and the open-loop generator (class cursor) share it so the
-// two loop disciplines can never diverge on sequence semantics.
-func advanceFlowop(spec *ThreadSpec, opIdx, iter *int) Flowop {
-	op := spec.Flowops[*opIdx]
-	iters := op.Iters
-	if iters <= 0 {
-		iters = 1
-	}
-	*iter++
-	if *iter >= iters {
-		*iter = 0
-		*opIdx++
-		if *opIdx >= len(spec.Flowops) {
-			*opIdx = 0
-		}
-	}
-	return op
-}
-
-// dropFD forgets the thread's handle for path, keeping fdOrder in sync.
-func (th *threadState) dropFD(path string) {
-	if _, ok := th.fds[path]; !ok {
-		return
-	}
-	delete(th.fds, path)
-	for i, p := range th.fdOrder {
-		if p == path {
-			th.fdOrder = append(th.fdOrder[:i], th.fdOrder[i+1:]...)
-			break
-		}
-	}
-}
-
-// firstFD returns the least-recently-opened live handle, nil if none.
-func (th *threadState) firstFD() (string, *vfs.FD) {
-	if len(th.fdOrder) == 0 {
-		return "", nil
-	}
-	path := th.fdOrder[0]
-	return path, th.fds[path]
-}
-
-// Engine runs one Workload against one Mount under virtual time.
+// Engine runs one Workload against one or more mounts under virtual
+// time. Each mount is one shard: a stack (cache, file system, VFS)
+// whose threads run on their own shard of a sim.ShardedLoop.
 //
 // Setup executes in immediate mode (synchronous device accesses); Run
-// executes on a discrete-event kernel: every virtual thread is a
+// executes on the discrete-event kernel: every virtual thread is a
 // sim.Proc that blocks when it issues I/O and wakes on the completion
-// event, so N threads genuinely contend for the device queue and
-// queueing delay appears in the recorded latencies.
+// event, so threads genuinely contend for the device queue and
+// queueing delay appears in the recorded latencies. Ops start in
+// virtual-time order within a shard, so a run is bit-identical across
+// repeats and host parallelism for a fixed (workload, seed, mounts).
+//
+// The topology comes from the mounts:
+//   - One mount: one shard on the empty graph. It runs its heap dry in
+//     one release, popping events in the same (time, sequence) order
+//     as a plain sim.EventLoop.
+//   - Mounts on private devices: replica shards, one device queue
+//     each, on the empty graph. They never exchange mail, so they run
+//     in parallel with no barriers.
+//   - Two or more mounts on one device: the shared-device star. One
+//     extra device shard owns the single queue over that device, and
+//     every mount submits into it by mailbox.
+//
+// Any other mix is rejected.
+//
+// Partitioning rules:
+//   - Closed-loop threads are dealt round-robin by global thread
+//     index: thread i lands on shard i mod N.
+//   - An open-loop class is indivisible — its generator, arrival
+//     queue, and worker pool share state — so class k (in open-class
+//     declaration order) lands wholly on shard k mod N.
+//   - Every fileset is replicated onto every shard: round-robin
+//     spreads each class's threads across all shards, so in general
+//     every shard touches every fileset. Namespace churn (create,
+//     delete) is shard-local.
+//
+// Thread owner IDs stay global (declaration order), so per-owner
+// probes and queue stats merge without collisions.
+//
+// Replica shards model N complete machines: N device queues and N
+// caches. That changes the contended system — shards>1 answers "N
+// replicas of 1/Nth the load", not "the same one device under the same
+// load" — which is exactly why replica shard count is excluded from
+// the warehouse config fingerprint and recorded as run metadata
+// instead (like Parallelism). See DESIGN.md §9.
 type Engine struct {
-	m       *vfs.Mount
-	w       *Workload
-	rng     *sim.RNG
-	sets    map[string]*fsState
-	threads []*threadState
-	classes []*classState // open-loop classes (generator per entry)
-	probe   *Probe
-	counter metrics.Counter
-	load    metrics.LoadGauge
-	qstats  device.QueueStats // device-queue counters from the last Run
-	runErr  error             // first error raised by any proc during Run
+	shards []*shard
+	probe  *Probe
+	// dev is the device every mount sits on in the shared-device star,
+	// nil without a device shard.
+	dev    device.Device
+	qstats device.QueueStats // device-queue counters from the last Run
 }
 
-// NewEngine prepares (but does not set up) an engine. The workload
-// must validate.
+// NewEngine prepares (but does not set up) an engine over one mount:
+// NewShardedEngine's one-mount case.
 func NewEngine(m *vfs.Mount, w *Workload, seed uint64) (*Engine, error) {
+	return NewShardedEngine([]*vfs.Mount{m}, w, seed)
+}
+
+// NewShardedEngine prepares one shard per mount and partitions the
+// workload's threads across them. The workload must validate; every
+// mount must be distinct and freshly built, and the mounts must sit
+// on private devices or all on one (see Engine).
+//
+// All randomness splits off one master stream seeded by seed, in this
+// order:
+//   - for each fileset with Entries > 1, in declaration order, one
+//     Zipf stream per shard;
+//   - for each thread, in declaration order, one stream, and after an
+//     open class's workers one stream for its generator;
+//   - one file-size stream for each shard after the first.
+//
+// Shard 0 draws file sizes from the master itself once construction
+// is done, so replica shards setting up concurrently never share a
+// stream. At one shard this is exactly the layout NewEngine has always
+// had.
+func NewShardedEngine(mounts []*vfs.Mount, w *Workload, seed uint64) (*Engine, error) {
+	dev, err := topology(mounts)
+	if err != nil {
+		return nil, err
+	}
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{m: m, w: w, rng: sim.NewRNG(seed), sets: make(map[string]*fsState)}
+	n := len(mounts)
+	master := sim.NewRNG(seed)
+	e := &Engine{shards: make([]*shard, n), dev: dev}
+	for i, m := range mounts {
+		e.shards[i] = &shard{m: m, w: w, sets: make(map[string]*fsState)}
+	}
+	// Every shard replicates every fileset and samples its popularity
+	// from a stream of its own.
 	for i := range w.FileSets {
 		spec := w.FileSets[i]
-		st := &fsState{spec: spec}
-		if spec.Entries > 1 {
-			st.zipf = sim.NewZipf(e.rng.Split(), int64(spec.Entries), 1.1)
+		for _, sh := range e.shards {
+			st := &fsState{spec: spec}
+			if spec.Entries > 1 {
+				st.zipf = sim.NewZipf(master.Split(), int64(spec.Entries), 1.1)
+			}
+			sh.sets[spec.Name] = st
 		}
-		e.sets[spec.Name] = st
 	}
+	// Threads: owner IDs and RNG streams are assigned in global
+	// declaration order — before and independent of shard placement —
+	// so per-thread streams are stable properties of the workload.
+	owner := 0
+	openClasses := 0
 	for ti := range w.Threads {
 		spec := &w.Threads[ti]
 		var cs *classState
+		var home *shard
 		if spec.Arrival.Open() {
 			cs = &classState{spec: spec, cursors: make(map[string]int64)}
+			home = e.shards[openClasses%n]
+			openClasses++
 		}
 		for c := 0; c < spec.Count; c++ {
-			e.threads = append(e.threads, &threadState{
+			sh := home
+			if sh == nil {
+				sh = e.shards[owner%n]
+			}
+			sh.threads = append(sh.threads, &threadState{
 				spec:    spec,
-				owner:   len(e.threads),
+				owner:   owner,
 				class:   cs,
 				cursors: make(map[string]int64),
 				fds:     make(map[string]*vfs.FD),
-				rng:     e.rng.Split(),
+				rng:     master.Split(),
 			})
+			owner++
 		}
 		if cs != nil {
 			// The generator's stream splits after the class's worker
 			// streams, so purely closed-loop workloads keep the exact
 			// RNG assignment they had before open loops existed.
-			cs.rng = e.rng.Split()
-			e.classes = append(e.classes, cs)
+			cs.rng = master.Split()
+			home.classes = append(home.classes, cs)
 		}
+	}
+	e.shards[0].rng = master
+	for _, sh := range e.shards[1:] {
+		sh.rng = master.Split()
 	}
 	return e, nil
 }
 
-// SetProbe installs the measurement probe.
+// topology rejects nil and duplicate mounts and a mix of shared and
+// private devices. It returns the device of the shared-device star —
+// two or more mounts on one device — and nil otherwise.
+func topology(mounts []*vfs.Mount) (device.Device, error) {
+	if len(mounts) < 1 {
+		return nil, fmt.Errorf("workload: engine needs at least one mount")
+	}
+	for i, m := range mounts {
+		if m == nil {
+			return nil, fmt.Errorf("workload: engine: mount %d is nil", i)
+		}
+		for j := 0; j < i; j++ {
+			if mounts[j] == m {
+				return nil, fmt.Errorf("workload: engine: mounts %d and %d are the same stack", j, i)
+			}
+		}
+	}
+	// Replica shards run concurrently with no synchronization below
+	// the mailbox layer, so a device reached from two of them would
+	// race: two mounts on one device put every mount behind the device
+	// shard.
+	for i, m := range mounts {
+		for j := 0; j < i; j++ {
+			if mounts[j].Dev != m.Dev {
+				continue
+			}
+			for k, other := range mounts {
+				if other.Dev != m.Dev {
+					return nil, fmt.Errorf("workload: engine: mounts %d and %d share a device but mount %d does not; mounts need private devices or one device between them all", j, i, k)
+				}
+			}
+			return m.Dev, nil
+		}
+	}
+	return nil, nil
+}
+
+// SetProbe installs the measurement probe. At one shard the shard
+// records straight into p. With more, each shard records into a
+// private clone during Run and the clones merge back into p when the
+// run completes; Probe.Trace is then unsupported — a global trace
+// would need a total cross-shard op order that sharding deliberately
+// does not compute.
 func (e *Engine) SetProbe(p *Probe) { e.probe = p }
 
-// Counter reports op totals accumulated so far.
-func (e *Engine) Counter() metrics.Counter { return e.counter }
-
-// Load reports the open-loop offered/completed gauge accumulated
-// during Run. It stays zero-valued for purely closed-loop workloads,
-// whose arrivals are gated by completions and cannot diverge.
-func (e *Engine) Load() metrics.LoadGauge { return e.load }
-
-// Mount exposes the mount under test.
-func (e *Engine) Mount() *vfs.Mount { return e.m }
-
-// Setup creates the filesets (directories, preallocated files) and
-// flushes all dirty state so the measured phase starts from a clean,
-// quiescent device. It returns the virtual time when setup finished.
+// Setup builds every shard's filesets and flushes all dirty state so
+// the measured phase starts from a clean, quiescent device. Replica
+// shards set up concurrently: they are independent stacks in
+// immediate mode, so host parallelism cannot affect any shard's
+// result. Shared-device shards set up in order, since every shard's
+// immediate-mode setup I/O mutates the one device's mechanical state
+// (head position, noise stream), so interleaving would be both racy
+// and nondeterministic. Setup returns the latest per-shard finish
+// time, so all shards start the measured phase on one common clock.
 func (e *Engine) Setup(at sim.Time) (sim.Time, error) {
-	now := at
-	for _, name := range e.setNamesSorted() {
-		st := e.sets[name]
-		spec := st.spec
-		if spec.Dir != "" && spec.Dir != "/" {
-			// mkdir -p: create every missing component.
-			parts := strings.Split(strings.Trim(spec.Dir, "/"), "/")
-			prefix := ""
-			for _, part := range parts {
-				prefix += "/" + part
-				done, err := e.m.Mkdir(now, prefix)
-				if err != nil && !errors.Is(err, fs.ErrExist) {
-					return now, fmt.Errorf("setup fileset %s: %w", name, err)
-				}
-				if err == nil {
-					now = done
-				}
-			}
+	times := make([]sim.Time, len(e.shards))
+	errs := make([]error, len(e.shards))
+	if e.dev != nil {
+		for i, sh := range e.shards {
+			times[i], errs[i] = sh.setup(at)
 		}
-		prealloc := int(float64(spec.Entries)*spec.PreallocFrac + 0.5)
-		for i := 0; i < prealloc; i++ {
-			path := filePath(spec.Dir, name, i)
-			fd, done, err := e.m.Create(now, path)
-			if err != nil {
-				return now, fmt.Errorf("setup fileset %s: %w", name, err)
-			}
-			now = done
-			size := e.fileSize(st)
-			if size > 0 {
-				done, err = e.m.Write(now, fd, 0, size)
-				if err != nil {
-					return now, fmt.Errorf("setup fileset %s: %w", name, err)
-				}
-				now = done
-			}
-			st.names = append(st.names, path)
+	} else {
+		var wg sync.WaitGroup
+		for i, sh := range e.shards {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				times[i], errs[i] = sh.setup(at)
+			}()
 		}
-		st.nextNew = prealloc
+		wg.Wait()
 	}
-	done, err := e.m.SyncAll(now)
-	if err != nil {
-		return now, err
+	var start sim.Time
+	for i := range e.shards {
+		if errs[i] != nil {
+			return at, fmt.Errorf("shard %d: %w", i, errs[i])
+		}
+		if times[i] > start {
+			start = times[i]
+		}
 	}
-	return done, nil
+	return start, nil
 }
 
-// setNamesSorted keeps setup deterministic across map iteration.
-func (e *Engine) setNamesSorted() []string {
-	names := make([]string, 0, len(e.sets))
-	for _, fsSet := range e.w.FileSets {
-		names = append(names, fsSet.Name)
-	}
-	return names
-}
-
-// fileSize draws a file size from the fileset's distribution.
-func (e *Engine) fileSize(st *fsState) int64 {
-	if st.spec.ParetoAlpha <= 0 {
-		return st.spec.MeanSize
-	}
-	// Pareto with mean m and shape a has xm = m(a-1)/a.
-	a := st.spec.ParetoAlpha
-	xm := float64(st.spec.MeanSize) * (a - 1) / a
-	if xm < 1 {
-		xm = 1
-	}
-	size := int64(e.rng.Pareto(xm, a))
-	// Clip the tail at 64x the mean so one draw cannot fill the disk.
-	if max := st.spec.MeanSize * 64; size > max {
-		size = max
-	}
-	return size
-}
-
-func filePath(dir, set string, i int) string {
-	if dir == "" || dir == "/" {
-		return fmt.Sprintf("/%s-%05d", set, i)
-	}
-	return fmt.Sprintf("%s/%s-%05d", dir, set, i)
-}
-
-// DropCaches empties the page cache and per-file readahead state —
-// the cold-start condition of the paper's Figure 2 experiment.
+// DropCaches empties every shard's page cache and per-file readahead
+// state — the cold-start condition of the paper's Figure 2
+// experiment.
 func (e *Engine) DropCaches() {
-	e.m.PC.L1.Flush()
-	if e.m.PC.L2 != nil {
-		e.m.PC.L2.Flush()
+	for _, sh := range e.shards {
+		sh.dropCaches()
 	}
 }
 
 // Run executes the workload from time `from` until every thread's
 // clock passes `until`. It returns the final virtual time (max over
-// threads).
-//
-// Run is a discrete-event simulation: threads are processes on an
-// event loop ordered by (time, sequence), a thread issuing I/O parks
-// until its completion event fires, and ops start in global
-// virtual-time order — so the result is bit-identical for a given
-// (workload, seed) at any host parallelism.
+// threads of all shards).
 //
 // Closed-loop thread classes run the classic loop: each thread issues
 // its next op when the previous one completes. Open-loop classes add
@@ -383,496 +320,184 @@ func (e *Engine) DropCaches() {
 // gated by service completions; latency is measured from arrival, and
 // the offered-vs-completed gap lands in Load().
 func (e *Engine) Run(from, until sim.Time) (sim.Time, error) {
-	loop := sim.NewEventLoop(from)
-	if err := e.begin(loop, until); err != nil {
-		return from, err
+	n := len(e.shards)
+	if n > 1 && e.probe != nil && e.probe.Trace != nil {
+		return from, fmt.Errorf("workload: op tracing requires shards=1")
 	}
-	loop.Run() // drains thread procs and all async completions
-	return e.end()
-}
-
-// begin switches the mount into event mode on loop and spawns every
-// thread and generator process at the loop's current time. It is the
-// front half of Run, split out so a sharded run can begin each shard
-// engine on its own shard loop before the coordinator runs them all.
-func (e *Engine) begin(loop *sim.EventLoop, until sim.Time) error {
-	if err := e.m.BeginEvents(loop); err != nil {
-		return err
-	}
-	e.beginProcs(loop, until)
-	return nil
-}
-
-// beginBridged is begin for a shared-device shard: the mount routes
-// I/O through sub (a cross-shard bridge to the device shard's queue)
-// instead of a queue of its own.
-func (e *Engine) beginBridged(loop *sim.EventLoop, until sim.Time, sub vfs.Submitter) {
-	e.m.BeginEventsBridged(loop, sub)
-	e.beginProcs(loop, until)
-}
-
-// beginProcs spawns every thread and generator process at the loop's
-// current time — the common tail of begin and beginBridged.
-func (e *Engine) beginProcs(loop *sim.EventLoop, until sim.Time) {
-	from := loop.Now()
-	// Every live thread holds one pending event (its park/unpark or
-	// completion) at a time, plus the daemon's wake-up: reserving the
-	// population up front keeps the measured phase free of heap
-	// growth.
-	loop.Reserve(len(e.threads) + len(e.classes) + 16)
-	e.runErr = nil
-	remaining := len(e.threads) + len(e.classes)
-	if remaining == 0 {
-		// A shard that drew no threads or classes has no process to
-		// deliver the last finish(): stop the write-back daemon now or
-		// its periodic wake would keep the loop alive forever.
-		e.m.StopWriteback()
-	}
-	finish := func() {
-		// When the last process finishes, tell the write-back daemon
-		// to exit at its next wake — otherwise its periodic wake-up
-		// would keep the loop alive forever.
-		if remaining--; remaining == 0 {
-			e.m.StopWriteback()
-		}
-	}
-	// Workers spawn before generators so every idle worker is parked
-	// on its class's list before the first arrival fires.
-	for _, th := range e.threads {
-		th := th
-		th.now = from
-		body := e.closedLoop
-		if th.openLoop() {
-			body = e.workerLoop
-		}
-		loop.Go(from, func(p *sim.Proc) {
-			defer finish()
-			body(p, th, until, &e.runErr)
-		})
-	}
-	for _, cs := range e.classes {
-		cs := cs
-		loop.Go(from, func(p *sim.Proc) {
-			defer finish()
-			e.generate(p, cs, until, &e.runErr)
-		})
-	}
-}
-
-// end leaves event mode and reports the final virtual time (max over
-// threads) and the first error any process raised — the back half of
-// Run.
-func (e *Engine) end() (sim.Time, error) {
-	e.qstats = e.m.EndEvents()
-	var end sim.Time
-	for _, th := range e.threads {
-		if th.now > end {
-			end = th.now
-		}
-	}
-	return end, e.runErr
-}
-
-// closedLoop is the classic self-paced thread body.
-func (e *Engine) closedLoop(p *sim.Proc, th *threadState, until sim.Time, runErr *error) {
-	for th.now < until && *runErr == nil {
-		// Align the op's start with the global clock so ops across
-		// threads execute in virtual-time order, then rebind the mount
-		// to this thread's process and requester identity.
-		p.WaitUntil(th.now)
-		e.m.SetProc(p, th.owner+1)
-		if err := e.step(th); err != nil {
-			if *runErr == nil {
-				*runErr = err
-			}
-			return
-		}
-	}
-}
-
-// workerLoop is one open-loop service process: it pulls op instances
-// off its class's arrival queue and executes them, parking on the
-// class's idle list when the queue is empty. Queueing delay ahead of
-// service — the open-loop signature — lands in the recorded latency
-// because execOp measures from the instance's arrival time.
-func (e *Engine) workerLoop(p *sim.Proc, th *threadState, until sim.Time, runErr *error) {
-	cs := th.class
-	for *runErr == nil {
-		if len(cs.queue) == 0 {
-			if cs.genDone {
-				return
-			}
-			// Realign with the global clock before sleeping so the
-			// wake-up cannot rewind this worker's local clock, then
-			// re-check: an arrival may have landed during the yield.
-			p.WaitUntil(th.now)
-			if len(cs.queue) == 0 && !cs.genDone {
-				cs.idle = append(cs.idle, p)
-				if t := p.Park(); t > th.now {
-					th.now = t
-				}
-			}
-			continue
-		}
-		if th.now >= until {
-			// Abandon the backlog: Load() reports it as offered minus
-			// completed — the divergence a closed loop cannot show.
-			return
-		}
-		job := cs.queue[0]
-		if cs.queue = cs.queue[1:]; len(cs.queue) == 0 {
-			cs.queue = nil // release the drained backing array
-		}
-		if job.at > th.now {
-			th.now = job.at
-		}
-		p.WaitUntil(th.now)
-		e.m.SetProc(p, th.owner+1)
-		th.arrival = job.at
-		err := e.execOp(th, job.op)
-		e.load.Complete()
-		if err != nil {
-			if *runErr == nil {
-				*runErr = err
-			}
-			return
-		}
-	}
-}
-
-// generate is an open-loop class's arrival process: it stamps arrival
-// times per the class's Arrival spec, appends op instances to the
-// class queue, and hands the baton to an idle worker when one is
-// parked. It never waits for service completions — that independence
-// is the whole point.
-func (e *Engine) generate(p *sim.Proc, cs *classState, until sim.Time, runErr *error) {
-	defer func() {
-		// Wake every idle worker so it can observe genDone and exit;
-		// otherwise the parked procs would never finish and the
-		// write-back daemon would keep the loop alive forever.
-		cs.genDone = true
-		for len(cs.idle) > 0 {
-			w := cs.idle[0]
-			cs.idle = cs.idle[1:]
-			w.Unpark()
-		}
-	}()
-	a := cs.spec.Arrival
-	perOp := float64(sim.Second) / a.Rate
-	next := p.Now()
-	for *runErr == nil {
-		var gap sim.Time
-		switch a.Kind {
-		case ArrivalPoisson:
-			gap = sim.Time(cs.rng.Exponential(perOp))
-		case ArrivalUniform:
-			gap = sim.Time(perOp)
-		case ArrivalBurst:
-			gap = sim.Time(float64(a.Burst) * perOp)
-		}
-		if gap < 1 {
-			// A drawn or configured gap below the 1 ns clock resolution
-			// must still advance time, or a super-GHz rate would pin
-			// `next` forever and the generator would spin appending
-			// arrivals at one instant without ever yielding.
-			gap = 1
-		}
-		next += gap
-		if next >= until {
-			return
-		}
-		p.WaitUntil(next)
-		n := 1
-		if a.Kind == ArrivalBurst {
-			n = a.Burst
-		}
+	// Replica shards never Send: their graph has no edges, so each
+	// shard runs its heap dry in one release and the lookahead is moot.
+	edges := make([][]int, n)
+	var la sim.Time
+	if e.dev != nil {
+		// Star topology: every thread shard exchanges mail with the
+		// device shard only, so thread shards are not barrier-stalled
+		// by the hot device shard (and vice versa) beyond true causal
+		// limits.
+		edges = append(edges, make([]int, n))
 		for i := 0; i < n; i++ {
-			e.load.Arrive()
-			cs.queue = append(cs.queue, arrival{op: cs.nextOp(), at: next})
-			if len(cs.idle) > 0 {
-				// Direct baton handoff: the worker runs until it parks
-				// (on I/O or back onto the idle list), then control
-				// returns here — deterministic under the one-baton
-				// discipline.
-				w := cs.idle[0]
-				cs.idle = cs.idle[1:]
-				w.Unpark()
+			edges[i] = []int{n}
+			edges[n][i] = i
+		}
+		// The lookahead is the device cost model's service-time floor:
+		// a completion mailed at dispatch with its (known) future
+		// completion time is then never clamped, so threads resume at
+		// the exact instant a queue on their own loop would complete.
+		la = e.dev.MinLatency()
+	}
+	sl := sim.NewShardedLoop(from, edges, la)
+	// Every queue exists before any mount enters event mode, so a bad
+	// scheduler fails before a write-back daemon is spawned.
+	var queues []*device.Queue
+	subs := make([]vfs.Submitter, n)
+	if e.dev != nil {
+		q, err := e.shards[0].m.NewQueue(sl.Shard(n))
+		if err != nil {
+			return from, err
+		}
+		queues = append(queues, q)
+		for i := range subs {
+			subs[i] = newDeviceBridge(sl, i, n, q)
+		}
+	} else {
+		for i, sh := range e.shards {
+			q, err := sh.m.NewQueue(sl.Shard(i))
+			if err != nil {
+				return from, err
 			}
+			queues = append(queues, q)
+			subs[i] = q
 		}
 	}
+	for i, sh := range e.shards {
+		// One shard records straight into the caller's probe, so op
+		// tracing works and nothing is copied; more record into clones
+		// merged below.
+		sh.probe = e.probe
+		if n > 1 {
+			sh.probe = cloneProbe(e.probe)
+		}
+		sh.begin(sl.Shard(i), until, subs[i])
+	}
+	sl.Run()
+	// The first queue's snapshot is the base the others merge into, so
+	// one queue's 100k-owner map is copied once, not rebuilt.
+	e.qstats = queues[0].Stats()
+	for _, q := range queues[1:] {
+		e.qstats.Merge(q.Stats())
+	}
+	var end sim.Time
+	var firstErr error
+	for i, sh := range e.shards {
+		t, err := sh.end()
+		if t > end {
+			end = t
+		}
+		if err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("shard %d: %w", i, err)
+		}
+		// Merge in shard order: deterministic, and per-shard records
+		// are themselves deterministic.
+		mergeProbe(e.probe, sh.probe)
+	}
+	return end, firstErr
+}
+
+// Counter reports op totals summed over shards.
+func (e *Engine) Counter() metrics.Counter {
+	var c metrics.Counter
+	for _, sh := range e.shards {
+		c.Add(sh.counter)
+	}
+	return c
+}
+
+// Load reports the open-loop offered/completed gauge merged over
+// shards. It stays zero-valued for purely closed-loop workloads, whose
+// arrivals are gated by completions and cannot diverge.
+func (e *Engine) Load() metrics.LoadGauge {
+	var g metrics.LoadGauge
+	for _, sh := range e.shards {
+		g.Merge(sh.load)
+	}
+	return g
 }
 
 // QueueStats reports the device-queue counters accumulated during the
 // last Run: submissions, completions, the queue-occupancy high-water
-// mark, and total queueing delay.
+// mark, and total queueing delay, merged over the per-shard queues, or
+// the one shared queue's in the shared-device star.
 func (e *Engine) QueueStats() device.QueueStats { return e.qstats }
 
-// step executes one flowop on one thread, advancing its clock.
-func (e *Engine) step(th *threadState) error {
-	return e.execOp(th, advanceFlowop(th.spec, &th.opIdx, &th.iter))
+// deviceBridge implements vfs.Submitter for one thread shard in
+// shared-device mode: Submit mails the request to the device shard
+// (the submit edge pays up to one lookahead of mailbox latency — the
+// disclosed cost of the mode), where it enters the shared queue with
+// a return sender that mails the completion back. Because completions
+// are mailed at dispatch stamped with their exact completion time —
+// always at least MinLatency ≥ lookahead in the future — the
+// completion edge is never clamped and costs nothing.
+type deviceBridge struct {
+	sl       *sim.ShardedLoop
+	src, dst int
+	q        *device.Queue
+	sender   device.RemoteSender
 }
 
-// pickExisting selects a live file, uniform or Zipf.
-func (e *Engine) pickExisting(th *threadState, st *fsState, zipf bool) (string, bool) {
-	n := len(st.names)
-	if n == 0 {
-		return "", false
-	}
-	var idx int
-	if zipf && st.zipf != nil {
-		// The Zipf sampler ranges over spec.Entries ranks, but the
-		// live-name list can be smaller (low PreallocFrac, deletes).
-		// Folding out-of-range ranks through %n would alias distinct
-		// ranks onto the same files and distort the popularity
-		// distribution, so redraw instead; after a bounded number of
-		// attempts clamp to the least-popular live file to keep the
-		// pick O(1) even when almost all mass is out of range.
-		r := st.zipf.Next()
-		for tries := 0; r >= int64(n) && tries < 64; tries++ {
-			r = st.zipf.Next()
-		}
-		if r >= int64(n) {
-			r = int64(n) - 1
-		}
-		idx = int(r)
-	} else {
-		idx = th.rng.Intn(n)
-	}
-	return st.names[idx], true
+func newDeviceBridge(sl *sim.ShardedLoop, src, dst int, q *device.Queue) *deviceBridge {
+	b := &deviceBridge{sl: sl, src: src, dst: dst, q: q}
+	// One completion sender per shard for the queue to reuse — not one
+	// closure per request.
+	b.sender = func(at sim.Time, fn func()) { sl.Send(dst, src, at, fn) }
+	return b
 }
 
-// openFD returns (opening if needed) the thread's handle for path.
-func (e *Engine) openFD(th *threadState, path string) (*vfs.FD, error) {
-	if fd, ok := th.fds[path]; ok {
-		return fd, nil
-	}
-	fd, done, err := e.m.Open(th.now, path)
-	if err != nil {
-		return nil, err
-	}
-	th.now = done
-	th.fds[path] = fd
-	th.fdOrder = append(th.fdOrder, path)
-	return fd, nil
+// Submit implements vfs.Submitter.
+func (b *deviceBridge) Submit(at sim.Time, req device.Request, done func(sim.Time, error)) {
+	b.sl.Send(b.src, b.dst, at, func() {
+		// Runs on the device shard at the (clamped) arrival time;
+		// SubmitRemote re-clamps at up to the loop clock.
+		b.q.SubmitRemote(at, req, b.sender, done)
+	})
 }
 
-// execOp performs one flowop instance. Errors of the benign kind
-// (create racing delete within the workload's own churn) are counted,
-// not fatal. moved accumulates the bytes the op actually transferred
-// (a whole-file read counts the whole file, a clamped read counts the
-// clamped length), which is what the byte counter and the probe
-// report.
-func (e *Engine) execOp(th *threadState, op Flowop) error {
-	start := th.now + th.spec.PerOpOverhead
-	if op.Kind == OpThink {
-		th.now = start + op.Think
+// cloneProbe builds an empty probe with the same sinks enabled, the
+// same alignment (interval, offset), and the same filters as p.
+func cloneProbe(p *Probe) *Probe {
+	if p == nil {
 		return nil
 	}
-	st := e.sets[op.FileSet]
-	var done sim.Time
-	var err error
-	var tPath string
-	var tOff int64
-	var moved int64
-	switch op.Kind {
-	case OpReadRand, OpReadSeq, OpReadWholeFile:
-		path, ok := e.pickExisting(th, st, op.Zipf)
-		if !ok {
-			th.now = start
-			return nil
-		}
-		var fd *vfs.FD
-		th.now = start
-		fd, err = e.openFD(th, path)
-		if err != nil {
-			break
-		}
-		start = th.now
-		tPath = path
-		switch op.Kind {
-		case OpReadRand:
-			size := fd.Size()
-			if size <= op.IOSize {
-				moved, done, err = e.m.Read(start, fd, 0, op.IOSize)
-				break
-			}
-			slots := (size - op.IOSize) / op.IOSize
-			off := th.rng.Int63n(slots+1) * op.IOSize
-			tOff = off
-			moved, done, err = e.m.Read(start, fd, off, op.IOSize)
-		case OpReadSeq:
-			cursors := th.curMap()
-			cur := cursors[path]
-			if cur >= fd.Size() {
-				cur = 0
-			}
-			tOff = cur
-			moved, done, err = e.m.Read(start, fd, cur, op.IOSize)
-			if err == nil {
-				// Advance by the bytes actually read: an errored or
-				// short read must not walk the cursor past EOF between
-				// resets.
-				cursors[path] = cur + moved
-			}
-		case OpReadWholeFile:
-			now := start
-			var n int64
-			for off := int64(0); off < fd.Size(); off += op.IOSize {
-				n, now, err = e.m.Read(now, fd, off, op.IOSize)
-				if err != nil || n == 0 {
-					break
-				}
-				moved += n
-			}
-			done = now
-		}
-	case OpWriteRand, OpWriteSeq, OpAppend:
-		path, ok := e.pickExisting(th, st, op.Zipf)
-		if !ok {
-			th.now = start
-			return nil
-		}
-		var fd *vfs.FD
-		th.now = start
-		fd, err = e.openFD(th, path)
-		if err != nil {
-			break
-		}
-		start = th.now
-		tPath = path
-		switch op.Kind {
-		case OpWriteRand:
-			size := fd.Size()
-			var off int64
-			if size > op.IOSize {
-				off = th.rng.Int63n((size-op.IOSize)/op.IOSize+1) * op.IOSize
-			}
-			tOff = off
-			done, err = e.m.Write(start, fd, off, op.IOSize)
-			if err == nil {
-				moved = op.IOSize
-			}
-		case OpWriteSeq:
-			cursors := th.curMap()
-			cur := cursors[path]
-			if cur >= fd.Size() {
-				cur = 0
-			}
-			tOff = cur
-			done, err = e.m.Write(start, fd, cur, op.IOSize)
-			if err == nil {
-				// VFS writes extend the file rather than writing short,
-				// so a successful write moved the full IOSize; a failed
-				// one must leave the cursor where it was.
-				moved = op.IOSize
-				cursors[path] = cur + op.IOSize
-			}
-		case OpAppend:
-			tOff = fd.Size()
-			done, err = e.m.Write(start, fd, fd.Size(), op.IOSize)
-			if err == nil {
-				moved = op.IOSize
-			}
-		}
-	case OpCreate:
-		path := filePath(st.spec.Dir, st.spec.Name, st.nextNew)
-		tPath = path
-		st.nextNew++
-		var fd *vfs.FD
-		fd, done, err = e.m.Create(start, path)
-		if err == nil {
-			st.names = append(st.names, path)
-			if st.spec.MeanSize > 0 {
-				size := e.fileSize(st)
-				done, err = e.m.Write(done, fd, 0, size)
-				if err == nil {
-					moved = size
-				}
-			}
-		}
-	case OpDelete:
-		if len(st.names) == 0 {
-			th.now = start
-			return nil
-		}
-		idx := th.rng.Intn(len(st.names))
-		path := st.names[idx]
-		tPath = path
-		st.names[idx] = st.names[len(st.names)-1]
-		st.names = st.names[:len(st.names)-1]
-		for _, t := range e.threads {
-			t.dropFD(path)
-			delete(t.cursors, path)
-		}
-		for _, cs := range e.classes {
-			delete(cs.cursors, path)
-		}
-		done, err = e.m.Unlink(start, path)
-	case OpStat:
-		path, ok := e.pickExisting(th, st, op.Zipf)
-		if !ok {
-			th.now = start
-			return nil
-		}
-		tPath = path
-		_, done, err = e.m.Stat(start, path)
-	case OpOpen:
-		path, ok := e.pickExisting(th, st, op.Zipf)
-		if !ok {
-			th.now = start
-			return nil
-		}
-		th.now = start
-		_, err = e.openFD(th, path)
-		done = th.now
-	case OpClose:
-		// Close the least-recently-opened handle: map iteration order
-		// would make the choice (and thus all timings) nondeterministic.
-		if path, fd := th.firstFD(); fd != nil {
-			e.m.Close(fd)
-			th.dropFD(path)
-		}
-		done = start
-	case OpFsync:
-		_, target := th.firstFD()
-		if target == nil {
-			th.now = start
-			return nil
-		}
-		done, err = e.m.Fsync(start, target)
-	case OpMkdir:
-		path := fmt.Sprintf("%s/d-%06d", st.spec.Dir, st.nextNew)
-		st.nextNew++
-		done, err = e.m.Mkdir(start, path)
-	case OpReadDir:
-		dir := st.spec.Dir
-		if dir == "" {
-			dir = "/"
-		}
-		_, done, err = e.m.ReadDir(start, dir)
-	default:
-		return fmt.Errorf("workload: unimplemented op %v", op.Kind)
+	c := &Probe{HistSince: p.HistSince, Kinds: p.Kinds}
+	if p.Series != nil {
+		c.Series = metrics.NewTimeSeriesOffset(p.Series.Interval(), p.Series.Offset())
 	}
-	if err != nil {
-		e.counter.Errors++
-		// Benign errors advance time minimally and continue; the
-		// engine is a load generator, not a correctness checker.
-		th.now = start + sim.Microsecond
-		return nil
+	if p.Hist != nil {
+		c.Hist = &metrics.Histogram{}
 	}
-	if done < start {
-		done = start
+	if p.Timeline != nil {
+		c.Timeline = metrics.NewHistogramTimelineOffset(p.Timeline.Interval(), p.Timeline.Offset())
 	}
-	e.counter.Ops++
-	e.counter.Bytes += moved
-	recStart := start
-	if th.openLoop() {
-		// Open-loop latency runs from queue entry, not service start:
-		// the time an instance waited for a free worker is exactly the
-		// saturation signal a closed loop self-throttles away.
-		recStart = th.arrival
+	if p.PerOwner != nil {
+		c.PerOwner = &metrics.PerOwner{}
 	}
-	e.probe.record(th.owner, op.Kind, tPath, tOff, moved, recStart, done)
-	th.now = done
-	return nil
+	return c
+}
+
+// mergeProbe folds a shard clone's records back into the original. A
+// shard that recorded straight into dst has nothing to fold.
+func mergeProbe(dst, src *Probe) {
+	if dst == nil || src == nil || dst == src {
+		return
+	}
+	if dst.Series != nil {
+		dst.Series.Merge(src.Series)
+	}
+	if dst.Hist != nil {
+		dst.Hist.Merge(src.Hist)
+	}
+	if dst.Timeline != nil {
+		dst.Timeline.Merge(src.Timeline)
+	}
+	if dst.PerOwner != nil {
+		dst.PerOwner.Merge(src.PerOwner)
+	}
 }

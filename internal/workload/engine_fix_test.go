@@ -123,18 +123,19 @@ func TestZipfPickRankFrequency(t *testing.T) {
 	}
 	// pickExisting only consults st.names; build the live list without
 	// touching the mount.
-	st := e.sets["z"]
+	sh := e.shards[0]
+	st := sh.sets["z"]
 	index := map[string]int{}
 	for i := 0; i < live; i++ {
 		path := filePath("/z", "z", i)
 		st.names = append(st.names, path)
 		index[path] = i
 	}
-	th := e.threads[0]
+	th := sh.threads[0]
 	const draws = 200000
 	counts := make([]int64, live)
 	for i := 0; i < draws; i++ {
-		path, ok := e.pickExisting(th, st, true)
+		path, ok := sh.pickExisting(th, st, true)
 		if !ok {
 			t.Fatal("pick failed with live names")
 		}
@@ -173,12 +174,13 @@ func TestZipfPickSingleLiveFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := e.sets["z"]
+	sh := e.shards[0]
+	st := sh.sets["z"]
 	only := filePath("/z", "z", 0)
 	st.names = append(st.names, only)
-	th := e.threads[0]
+	th := sh.threads[0]
 	for i := 0; i < 1000; i++ {
-		path, ok := e.pickExisting(th, st, true)
+		path, ok := sh.pickExisting(th, st, true)
 		if !ok || path != only {
 			t.Fatalf("pick %d = (%q, %v), want the only live file", i, path, ok)
 		}
@@ -217,7 +219,7 @@ func seqCursorMount(t *testing.T, fileSize int64, ioSize int64) (*Engine, *devic
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.threads[0].now = start
+	e.shards[0].threads[0].now = start
 	return e, faulty, filePath("/s", "s", 0)
 }
 
@@ -226,10 +228,11 @@ func seqCursorMount(t *testing.T, fileSize int64, ioSize int64) (*Engine, *devic
 // of silently walking it forward by IOSize.
 func TestSeqCursorNotAdvancedOnError(t *testing.T) {
 	e, faulty, path := seqCursorMount(t, 1<<20, 4<<10)
-	th := e.threads[0]
+	sh := e.shards[0]
+	th := sh.threads[0]
 	op := th.spec.Flowops[0]
 	// One clean read to open the fd and advance the cursor once.
-	if err := e.execOp(th, op); err != nil {
+	if err := sh.execOp(th, op); err != nil {
 		t.Fatal(err)
 	}
 	if got := th.cursors[path]; got != 4<<10 {
@@ -243,7 +246,7 @@ func TestSeqCursorNotAdvancedOnError(t *testing.T) {
 	faulty.Policy.ReadErrProb = 1
 	e.DropCaches()
 	before := th.cursors[path]
-	if err := e.execOp(th, op); err != nil {
+	if err := sh.execOp(th, op); err != nil {
 		t.Fatal(err)
 	}
 	if e.Counter().Errors == 0 {
@@ -260,11 +263,12 @@ func TestSeqCursorNotAdvancedOnError(t *testing.T) {
 func TestSeqCursorAdvancesByShortRead(t *testing.T) {
 	const fileSize = 10 << 10 // 2.5 reads of 4 KB
 	e, _, path := seqCursorMount(t, fileSize, 4<<10)
-	th := e.threads[0]
+	sh := e.shards[0]
+	th := sh.threads[0]
 	op := th.spec.Flowops[0]
 	wantCursors := []int64{4 << 10, 8 << 10, fileSize} // 4k, 8k, 8k+2k
 	for i, want := range wantCursors {
-		if err := e.execOp(th, op); err != nil {
+		if err := sh.execOp(th, op); err != nil {
 			t.Fatal(err)
 		}
 		if got := th.cursors[path]; got != want {
@@ -279,7 +283,7 @@ func TestSeqCursorAdvancesByShortRead(t *testing.T) {
 		t.Fatalf("bytes = %d, want %d (full file once)", got, want)
 	}
 	// The next read wraps to offset 0.
-	if err := e.execOp(th, op); err != nil {
+	if err := sh.execOp(th, op); err != nil {
 		t.Fatal(err)
 	}
 	if got := th.cursors[path]; got != 4<<10 {

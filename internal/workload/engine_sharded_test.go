@@ -19,11 +19,18 @@ func testMounts(t testing.TB, n, cachePages int) []*vfs.Mount {
 	return out
 }
 
-// shardedRunFingerprint runs w across n shards and serializes every
-// observable number.
+// shardedRunFingerprint runs w across n replica shards and serializes
+// every observable number.
 func shardedRunFingerprint(t *testing.T, w *Workload, n int, seed uint64) string {
 	t.Helper()
-	se, err := NewShardedEngine(testMounts(t, n, 2048), w, seed)
+	return runFingerprint(t, testMounts(t, n, 2048), w, seed)
+}
+
+// runFingerprint runs w on one shard per mount and serializes every
+// observable number.
+func runFingerprint(t *testing.T, mounts []*vfs.Mount, w *Workload, seed uint64) string {
+	t.Helper()
+	se, err := NewShardedEngine(mounts, w, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,6 +154,34 @@ func TestShardedEngineRejectsTrace(t *testing.T) {
 	se.SetProbe(&Probe{Trace: func(int, OpKind, string, int64, int64, sim.Time, sim.Time) {}})
 	if _, err := se.Run(start, start+sim.Second); err == nil {
 		t.Error("tracing sharded run did not error")
+	}
+}
+
+// TestEngineOneShardRecordsIntoProbe: at one shard the run records
+// straight into the caller's probe — no clone to merge, so op tracing
+// works and a large PerOwner is never allocated twice.
+func TestEngineOneShardRecordsIntoProbe(t *testing.T) {
+	e, err := NewEngine(testMount(t, 2048), RandomRead(1<<20, 2048, 2), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, err := e.Setup(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced := 0
+	p := &Probe{Hist: &metrics.Histogram{}, PerOwner: &metrics.PerOwner{},
+		Trace: func(int, OpKind, string, int64, int64, sim.Time, sim.Time) { traced++ }}
+	e.SetProbe(p)
+	if _, err := e.Run(start, start+sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	if e.shards[0].probe != p {
+		t.Error("the one shard recorded into a clone of the probe")
+	}
+	if ops := e.Counter().Ops; traced == 0 || int64(traced) != ops || p.Hist.Count() != ops {
+		t.Errorf("%d ops, %d traced, %d in the histogram; want all equal and nonzero",
+			ops, traced, p.Hist.Count())
 	}
 }
 

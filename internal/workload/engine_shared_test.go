@@ -1,21 +1,19 @@
 package workload
 
 import (
-	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/device"
 	"repro/internal/fs/ext2sim"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/vfs"
 )
 
 // sharedDeviceMounts builds n stacks that all drain into ONE device —
-// the configuration NewShardedEngine rejects and NewSharedDeviceEngine
-// exists for.
+// the configuration the engine runs as its shared-device star.
 func sharedDeviceMounts(t testing.TB, n, cachePages int) []*vfs.Mount {
 	t.Helper()
 	dev := device.NewHDD(device.DefaultHDD(), sim.NewRNG(21))
@@ -36,36 +34,7 @@ func sharedDeviceMounts(t testing.TB, n, cachePages int) []*vfs.Mount {
 // shard and serializes every observable number.
 func sharedRunFingerprint(t *testing.T, w *Workload, n int, seed uint64) string {
 	t.Helper()
-	se, err := NewSharedDeviceEngine(sharedDeviceMounts(t, n, 2048), w, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start, err := se.Setup(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist := &metrics.Histogram{}
-	series := metrics.NewTimeSeriesOffset(sim.Second, start)
-	po := &metrics.PerOwner{}
-	se.SetProbe(&Probe{Hist: hist, Series: series, PerOwner: po})
-	end, err := se.Run(start, start+4*sim.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := se.Counter()
-	g := se.Load()
-	qs := se.QueueStats()
-	fp := fmt.Sprintf("end=%d ops=%d errs=%d bytes=%d load=%d/%d/%d q=%d/%d/%d wait=%d histc=%d histmin=%d histmax=%d",
-		end, c.Ops, c.Errors, c.Bytes, g.Offered, g.Completed, g.BacklogPeak,
-		qs.Submitted, qs.Completed, qs.MaxQueued, qs.Wait,
-		hist.Count(), hist.Min(), hist.Max())
-	for i := 0; i < series.Buckets(); i++ {
-		fp += fmt.Sprintf(" s%d=%d", i, series.Count(i))
-	}
-	for i, n := range po.Ops() {
-		fp += fmt.Sprintf(" o%d=%d", i, n)
-	}
-	return fp
+	return runFingerprint(t, sharedDeviceMounts(t, n, 2048), w, seed)
 }
 
 // TestSharedDeviceEngineDeterministic is the determinism matrix:
@@ -92,26 +61,46 @@ func TestSharedDeviceEngineDeterministic(t *testing.T) {
 	}
 }
 
-// TestSharedDeviceEngineAcceptsWhatShardedRejects pins the two
-// constructors' domains: one device behind every mount is exactly the
-// case replica sharding must reject and shared-device sharding must
-// accept.
-func TestSharedDeviceEngineAcceptsWhatShardedRejects(t *testing.T) {
+// TestEngineTopologyFromMounts pins where the topology comes from:
+// the mounts. One mount runs alone; mounts on private devices run as
+// replica shards; two or more mounts on one device get the device
+// shard.
+func TestEngineTopologyFromMounts(t *testing.T) {
 	w := RandomRead(1<<20, 2048, 4)
-	mounts := sharedDeviceMounts(t, 2, 2048)
-	if _, err := NewShardedEngine(mounts, w, 1); err == nil {
-		t.Error("NewShardedEngine accepted mounts sharing one device")
-	}
-	if _, err := NewSharedDeviceEngine(mounts, w, 1); err != nil {
-		t.Errorf("NewSharedDeviceEngine rejected shared-device mounts: %v", err)
+	for _, tc := range []struct {
+		name   string
+		mounts []*vfs.Mount
+		star   bool
+	}{
+		{"one mount", testMounts(t, 1, 2048), false},
+		{"one mount of a shared-device build", sharedDeviceMounts(t, 1, 2048), false},
+		{"private devices", testMounts(t, 3, 2048), false},
+		{"one device", sharedDeviceMounts(t, 3, 2048), true},
+	} {
+		e, err := NewShardedEngine(tc.mounts, w, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(e.shards) != len(tc.mounts) {
+			t.Errorf("%s: %d shards for %d mounts", tc.name, len(e.shards), len(tc.mounts))
+		}
+		if star := e.dev != nil; star != tc.star {
+			t.Errorf("%s: device shard %v, want %v", tc.name, star, tc.star)
+		}
 	}
 }
 
+// TestSharedDeviceEngineRejectsMixedDevices: mounts that neither all
+// have private devices nor all share one fit neither topology, and the
+// error names them.
 func TestSharedDeviceEngineRejectsMixedDevices(t *testing.T) {
-	// Mounts with private devices are a replica config; routing them
-	// through one device shard would silently serialize nothing.
-	if _, err := NewSharedDeviceEngine(testMounts(t, 2, 2048), RandomRead(1<<20, 2048, 2), 1); err == nil {
-		t.Error("NewSharedDeviceEngine accepted mounts with distinct devices")
+	mounts := append(sharedDeviceMounts(t, 2, 2048), testMount(t, 2048))
+	_, err := NewShardedEngine(mounts, RandomRead(1<<20, 2048, 3), 1)
+	if err == nil {
+		t.Fatal("engine accepted two mounts on one device beside one on its own")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "mounts 0 and 1") || !strings.Contains(msg, "mount 2") {
+		t.Errorf("error %q does not name mounts 0, 1 and 2", msg)
 	}
 }
 
@@ -121,7 +110,7 @@ func TestSharedDeviceEngineRejectsMixedDevices(t *testing.T) {
 // could never produce with a private device per shard).
 func TestSharedDeviceEngineContention(t *testing.T) {
 	w := RandomRead(16<<20, 64, 8) // tiny cache share forces misses
-	se, err := NewSharedDeviceEngine(sharedDeviceMounts(t, 4, 64), w, 3)
+	se, err := NewShardedEngine(sharedDeviceMounts(t, 4, 64), w, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
