@@ -133,7 +133,7 @@ type Mount struct {
 
 	// Event mode (nil outside BeginEvents..EndEvents).
 	loop *sim.EventLoop
-	// sub is where event-mode submissions go: a queue, or the sharded
+	// sub is where event-mode submissions go: a queue, or the workload
 	// engine's cross-shard mailbox to the device shard. sub == nil
 	// means immediate mode.
 	sub Submitter
@@ -216,8 +216,9 @@ func (m *Mount) Readahead() cache.Readahead { return m.ra }
 // Submitter is where event-mode submissions go. *device.Queue
 // implements it; in its shared-device topology the workload engine
 // implements it with a cross-shard bridge so a mount on a thread shard
-// can submit to the queue owned by the device shard. done, when non-nil, must be invoked in the
-// submitting loop's context at the request's completion time.
+// can submit to the queue owned by the device shard. done, when
+// non-nil, must be invoked in the submitting loop's context at the
+// request's completion time.
 type Submitter interface {
 	Submit(at sim.Time, req device.Request, done func(sim.Time, error))
 }
