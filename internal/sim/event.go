@@ -28,6 +28,27 @@ type EventLoop struct {
 	// tell WaitUntil when the loop's next Step would pop its wake.
 	horizon Time
 	woken   *Proc
+
+	// counters tallies the host work done so far (see Counters).
+	counters Counters
+}
+
+// Counters tallies the host work an EventLoop has done since it was
+// made. The tallies are exact: a run at a given configuration and
+// seed counts the same on every host. They describe what it cost to
+// simulate, not what was simulated, so no simulated result reads
+// them.
+type Counters struct {
+	// Events counts heap entries Step popped and ran.
+	Events uint64
+	// Resumes counts baton handoffs to a process: its start, a
+	// scheduled wake or an Unpark. Each costs two goroutine switches.
+	Resumes uint64
+	// InPlace counts WaitUntil calls that advanced the clock without
+	// yielding the baton.
+	InPlace uint64
+	// Spawned counts processes started with Go.
+	Spawned uint64
 }
 
 // event is one heap entry: either a closure (fn) or a pre-bound
@@ -57,6 +78,9 @@ func NewEventLoop(start Time) *EventLoop { return &EventLoop{now: max(start, 0)}
 
 // Now reports the loop's current virtual time.
 func (l *EventLoop) Now() Time { return l.now }
+
+// Counters reports the loop's host-work tallies so far.
+func (l *EventLoop) Counters() Counters { return l.counters }
 
 // Len reports the number of pending events.
 func (l *EventLoop) Len() int { return len(l.heap) }
@@ -113,6 +137,7 @@ func (l *EventLoop) Step() bool {
 		l.down(0)
 	}
 	l.now = max(l.now, ev.at)
+	l.counters.Events++
 	if ev.tgt != nil {
 		ev.tgt.RunEvent()
 	} else {
@@ -217,6 +242,7 @@ type Proc struct {
 // workload run R times creates each worker stack once, not R times.
 func (l *EventLoop) Go(start Time, body func(p *Proc)) *Proc {
 	p := &Proc{loop: l, wake: make(chan Time), park: make(chan struct{})}
+	l.counters.Spawned++
 	spawnProc(p, body)
 	l.ScheduleTarget(start, p)
 	return p
@@ -225,6 +251,7 @@ func (l *EventLoop) Go(start Time, body func(p *Proc)) *Proc {
 // resume hands the baton to the process and blocks until it parks or
 // finishes. It runs in loop context (inside an event).
 func (p *Proc) resume() {
+	p.loop.counters.Resumes++
 	p.wake <- p.loop.Now()
 	<-p.park
 }
@@ -234,6 +261,12 @@ func (p *Proc) resume() {
 // itself instead of a fresh closure around resume. Nothing in the
 // event runs after the process yields, which is what lets WaitUntil
 // advance this process in place (see there).
+//
+// An event may also call RunEvent itself, instead of Unpark, to resume
+// a parked process, provided the call is the event's last act: every
+// function on the way down returns as soon as it returns. The process
+// then counts as resumed from its own wake. Where any code runs after
+// the process yields, use Unpark.
 func (p *Proc) RunEvent() {
 	l := p.loop
 	l.woken = p
@@ -259,8 +292,9 @@ func (p *Proc) Loop() *EventLoop { return p.loop }
 // only when all of these do:
 //
 //   - the loop resumed this process from its own scheduled event (its
-//     Go start or an earlier wake), not through Unpark, whose caller
-//     must still run at the current instant;
+//     Go start or an earlier wake), or an event resumed it with
+//     RunEvent as its last act; not through Unpark, whose caller must
+//     still run at the current instant;
 //   - t is strictly before every pending event;
 //   - t is before the horizon of the Run or RunBefore in progress (a
 //     bare Step runs exactly one event).
@@ -273,6 +307,7 @@ func (p *Proc) WaitUntil(t Time) Time {
 	}
 	l := p.loop
 	if l.woken == p && l.popsNext(t) {
+		l.counters.InPlace++
 		l.seq++
 		l.now = max(l.now, t)
 		p.now = t
@@ -296,7 +331,10 @@ func (p *Proc) Park() Time {
 	return p.now
 }
 
-// Unpark resumes a parked process at the loop's current time. It must
-// be called from loop context (inside an event callback) and hands the
-// baton to the process until it parks again.
+// Unpark resumes a parked process at the loop's current time and hands
+// it the baton until it parks again. The caller is an event callback
+// or another running process (the open-loop generator hands an arrival
+// straight to an idle worker); either way it runs on at the same
+// instant once the process yields, so the process yields at its next
+// wait instead of advancing in place.
 func (p *Proc) Unpark() { p.resume() }

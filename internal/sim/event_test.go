@@ -169,11 +169,13 @@ func BenchmarkEventLoopScheduleStep(b *testing.B) {
 // yield the baton. Each trace of label@Now() was captured from the
 // kernel as it was before WaitUntil could advance in place; dropping
 // any one condition of that fast path changes at least one of them.
+// inPlace counts the waits that kept the baton.
 func TestWaitUntilFastPathBoundaries(t *testing.T) {
 	cases := []struct {
-		name string
-		run  func(l *EventLoop, rec func(string))
-		want string
+		name    string
+		run     func(l *EventLoop, rec func(string))
+		want    string
+		inPlace uint64
 	}{{
 		// An event scheduled for exactly t runs before a process that
 		// then waits until t: its sequence number is smaller.
@@ -209,7 +211,8 @@ func TestWaitUntilFastPathBoundaries(t *testing.T) {
 			})
 			l.Run()
 		},
-		want: "gen-unpark@10 worker-woke@10 gen-after@10 worker-slept@15 gen-done@20",
+		want:    "gen-unpark@10 worker-woke@10 gen-after@10 worker-slept@15 gen-done@20",
+		inPlace: 1, // the generator's first Sleep
 	}, {
 		// Likewise for a process an event callback unparks: the
 		// callback's code after Unpark sees an unchanged clock.
@@ -230,6 +233,28 @@ func TestWaitUntilFastPathBoundaries(t *testing.T) {
 		},
 		want: "event-unpark@10 proc-woke@10 event-after@10 proc-slept@15",
 	}, {
+		// An event whose last act resumes the process through its
+		// RunEvent resumes it as from its own wake: nothing in the
+		// event runs after the process yields, so its Sleep advances
+		// in place where the Unpark above yields. The trace is the
+		// one above without the after-label.
+		name: "event-resumes-process-last",
+		run: func(l *EventLoop, rec func(string)) {
+			w := l.Go(0, func(p *Proc) {
+				p.Park()
+				rec("proc-woke")
+				p.Sleep(5)
+				rec("proc-slept")
+			})
+			l.ScheduleTarget(10, &testTarget{fn: func() {
+				rec("event-unpark")
+				w.RunEvent()
+			}})
+			l.Run()
+		},
+		want:    "event-unpark@10 proc-woke@10 proc-slept@15",
+		inPlace: 1,
+	}, {
 		// RunBefore stops a lone sleeper at its horizon: it returns
 		// before limit with the first wake at or past limit pending.
 		name: "run-before-horizon",
@@ -246,7 +271,8 @@ func TestWaitUntilFastPathBoundaries(t *testing.T) {
 			l.Run()
 			rec("done")
 		},
-		want: "proc@3 proc@6 proc@9 returned next=12@9 proc@12 proc@15 done@15",
+		want:    "proc@3 proc@6 proc@9 returned next=12@9 proc@12 proc@15 done@15",
+		inPlace: 4, // every wake but the one at the horizon
 	}, {
 		// A bare Step runs exactly one wake of a lone sleeper and
 		// leaves the next one pending, also after an earlier Run.
@@ -268,7 +294,8 @@ func TestWaitUntilFastPathBoundaries(t *testing.T) {
 			l.Run()
 			rec("done")
 		},
-		want: "warm-up@0 step pending=1@0 proc@4 step next=8@4 proc@8 proc@12 done@12",
+		want:    "warm-up@0 step pending=1@0 proc@4 step next=8@4 proc@8 proc@12 done@12",
+		inPlace: 1, // the wake Run resumed
 	}}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -279,6 +306,9 @@ func TestWaitUntilFastPathBoundaries(t *testing.T) {
 			})
 			if got := strings.Join(trace, " "); got != tc.want {
 				t.Errorf("trace\n got %s\nwant %s", got, tc.want)
+			}
+			if got := l.Counters().InPlace; got != tc.inPlace {
+				t.Errorf("%d waits advanced in place, want %d", got, tc.inPlace)
 			}
 		})
 	}

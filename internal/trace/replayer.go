@@ -160,6 +160,8 @@ type Engine struct {
 	counter metrics.Counter
 	load    metrics.LoadGauge
 	runErr  error
+	// kernel is the last Run's loop tallies.
+	kernel sim.Counters
 }
 
 // NewEngine prepares a replay. It pre-scans every tenant's trace
@@ -368,6 +370,7 @@ func (e *Engine) Run(from, until sim.Time) (sim.Time, error) {
 		})
 	}
 	loop.Run()
+	e.kernel = loop.Counters()
 	e.m.EndEvents()
 	for _, s := range starts {
 		s.it.Close()

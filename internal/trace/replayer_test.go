@@ -1,8 +1,12 @@
 package trace
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -283,6 +287,200 @@ func TestRunOpenErrorDoesNotLeak(t *testing.T) {
 			}
 			if src.live != 0 {
 				t.Fatalf("%v: %d iterators left open", mode, src.live)
+			}
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before+10 {
+		t.Errorf("200 failed Runs raised the goroutine count from %d to %d", before, after)
+	}
+}
+
+// statTrace is the host-cost benchmark's replay trace in small:
+// records stats 1 µs apart, dealt round-robin over 8 streams, each of
+// one of 64 paths drawn from seed.
+func statTrace(records int, seed uint64) *Trace {
+	rng := sim.NewRNG(seed)
+	tr := &Trace{}
+	for i := 0; i < records; i++ {
+		tr.Records = append(tr.Records, Record{
+			At: sim.Time(i) * sim.Microsecond, Kind: workload.OpStat,
+			Path:  fmt.Sprintf("/bench/f%02d", rng.Intn(64)),
+			Owner: i % 8, Stream: i % 8,
+		})
+	}
+	return tr
+}
+
+// TestReplayKernelCounters pins the loop tallies of a timed replay of
+// the benchmark's stat trace. A stat takes 3.875 µs and each stream's
+// next record comes 8 µs after its last, so every record finds its
+// stream idle: the dispatcher wakes for it and resumes the stream, and
+// the stream realigns with the loop clock once the stat returns. That
+// is two events and three process resumes per record.
+func TestReplayKernelCounters(t *testing.T) {
+	const records = 4096
+	eng := runEngine(t, EngineConfig{
+		Mode: Timed, Tenants: []Source{MemorySource(statTrace(records, 7))},
+	}, records*sim.Microsecond+sim.Millisecond).eng
+	want := sim.Counters{Events: 8199, Resumes: 12299, InPlace: 3, Spawned: 10}
+	if eng.kernel != want {
+		t.Errorf("kernel tallies %+v, want %+v", eng.kernel, want)
+	}
+	if got := eng.Counter().Ops; got != records {
+		t.Errorf("ops = %d, want %d", got, records)
+	}
+}
+
+// mixedTrace is a five-stream capture with one to three records at
+// each millisecond, each on a stream drawn at random. Most stat or
+// overwrite small files the cache holds; one in twelve reads a random
+// page of the pre-sized /d/big, which after DropCaches takes
+// milliseconds on the test disk. So some records reach a stream still
+// busy with an earlier one and queue, and others reach an idle one.
+func mixedTrace() *Trace {
+	rng := sim.NewRNG(5)
+	tr := &Trace{}
+	for at := sim.Time(0); at < 200*sim.Millisecond; at += sim.Millisecond {
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			st := rng.Intn(5)
+			rec := Record{At: at, Stream: st, Owner: st}
+			switch k := rng.Intn(12); {
+			case k == 0:
+				rec.Kind, rec.Path = workload.OpReadRand, "/d/big"
+				rec.Offset, rec.Size = int64(rng.Intn(2048))*4096, 4096
+			case k < 4:
+				rec.Kind, rec.Path = workload.OpWriteRand, fmt.Sprintf("/d/w%d", rng.Intn(4))
+				rec.Offset, rec.Size = int64(rng.Intn(16))*4096, 4096
+			default:
+				rec.Kind, rec.Path = workload.OpStat, fmt.Sprintf("/d/w%d", rng.Intn(4))
+			}
+			tr.Records = append(tr.Records, rec)
+		}
+	}
+	return tr
+}
+
+// replayed is one pinned replay: the sha256 of every op the probe saw,
+// in call order, then the counter, the load gauge and the end time;
+// the load gauge; and how many ops were issued while their stream's
+// previous op was still running (busy) or not (idle).
+type replayed struct {
+	digest     string
+	load       metrics.LoadGauge
+	busy, idle int
+}
+
+// replayDigest replays cfg cold on a fresh test mount until the
+// horizon.
+func replayDigest(t *testing.T, cfg EngineConfig, until sim.Time) replayed {
+	t.Helper()
+	eng, err := NewEngine(testMount(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r replayed
+	h := sha256.New()
+	last := map[int]sim.Time{}
+	eng.SetProbe(&workload.Probe{Trace: func(owner int, kind workload.OpKind, path string, offset, size int64, start, done sim.Time) {
+		fmt.Fprintf(h, "%d %v %s %d %d %d %d\n", owner, kind, path, offset, size, start, done)
+		if start < last[owner] {
+			r.busy++
+		} else {
+			r.idle++
+		}
+		last[owner] = done
+	}})
+	start, err := eng.Setup(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.DropCaches()
+	end, err := eng.Run(start, start+until)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.load = eng.Load()
+	fmt.Fprintf(h, "%+v %+v %d\n", eng.Counter(), r.load, end-start)
+	r.digest = hex.EncodeToString(h.Sum(nil))
+	return r
+}
+
+// TestReplayOrderPinned pins the order in which a replay executes:
+// every op with its timing, in the order the probe sees them, under
+// each discipline. Two runs of one build agreeing says nothing about
+// a change to the engine; these literals do.
+func TestReplayOrderPinned(t *testing.T) {
+	src := MemorySource(mixedTrace())
+	cases := []struct {
+		name  string
+		cfg   EngineConfig
+		until sim.Time
+		want  string
+	}{
+		{"timed", EngineConfig{Mode: Timed}, noHorizon, "b2fd48ce039cf733352ddaf562e5090305834a073fb2ec9daa55a843067baebc"},
+		// The horizon falls mid-trace, with streams backlogged behind
+		// cold reads: the run abandons what they still hold.
+		{"timed-horizon", EngineConfig{Mode: Timed}, 100 * sim.Millisecond, "138791ab6d744e7e1cb8634a6e47c5019aa118f4bcd17034891aeef8d62ff8b4"},
+		{"scaled-x2", EngineConfig{Mode: Scaled, Scale: 2}, noHorizon, "6bca41eceb4c6f808aba3d1b99eb96da428bf035d9f47aee99d0beb84489abf0"},
+		{"afap", EngineConfig{Mode: AFAP}, noHorizon, "bb1b28356629e2749320d99f74be5459477663b357050321cf38ba71d9b6b2ca"},
+		// Two tenants' dispatchers deliver records at the same instants.
+		{"timed-2-tenants", EngineConfig{Mode: Timed, Tenants: []Source{src, src}}, noHorizon, "963d98954ad5323386e8a790ceefc2af8fc84ca0948c3b67832c7578e682e82e"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.cfg.Tenants == nil {
+				tc.cfg.Tenants = []Source{src}
+			}
+			r := replayDigest(t, tc.cfg, tc.until)
+			if r.digest != tc.want {
+				t.Errorf("replay digest %s, want %s", r.digest, tc.want)
+			}
+			if tc.cfg.Mode != AFAP && (r.busy == 0 || r.idle == 0) {
+				t.Errorf("%d arrivals found their stream busy and %d idle; the trace must exercise both", r.busy, r.idle)
+			}
+			if abandoned := r.load.Offered > r.load.Completed; abandoned != (tc.until != noHorizon) {
+				t.Errorf("load %+v: a replay abandons backlog exactly when its horizon cuts it short", r.load)
+			}
+		})
+	}
+}
+
+// TestRunMidRunErrorDoesNotLeak: a record no replayer can execute, in
+// the middle of a multi-stream trace, fails the Run with its kind
+// named while other streams sit on the device or idle and records are
+// still to come, and leaves nothing behind: the mount out of event
+// mode and every process finished.
+func TestRunMidRunErrorDoesNotLeak(t *testing.T) {
+	tr := &Trace{}
+	for i := 0; i < 64; i++ {
+		rec := Record{At: sim.Time(i) * 20 * sim.Microsecond, Stream: i % 4, Owner: i % 4, Kind: workload.OpStat, Path: "/f"}
+		switch {
+		case i == 33:
+			rec.Kind = workload.OpKind(99)
+		case i%4 == 1:
+			rec.Kind, rec.Path, rec.Offset, rec.Size = workload.OpReadRand, "/big", int64(i)*16<<10, 4096
+		}
+		tr.Records = append(tr.Records, rec)
+	}
+	before := runtime.NumGoroutine()
+	for _, mode := range []ReplayMode{Timed, AFAP} {
+		for i := 0; i < 100; i++ {
+			m := testMount(t)
+			eng, err := NewEngine(m, EngineConfig{Mode: mode, Tenants: []Source{MemorySource(tr)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			start, err := eng.Setup(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.DropCaches()
+			_, err = eng.Run(start, noHorizon)
+			if err == nil || !strings.HasPrefix(err.Error(), "trace: unreplayable record kind") {
+				t.Fatalf("%v: Run returned %v, want the unreplayable record kind", mode, err)
+			}
+			if m.InEvents() {
+				t.Fatalf("%v: mount left in event mode", mode)
 			}
 		}
 	}

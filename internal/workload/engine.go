@@ -121,6 +121,8 @@ type Engine struct {
 	// nil without a device shard.
 	dev    device.Device
 	qstats device.QueueStats // device-queue counters from the last Run
+	// kernel is the last Run's loop tallies, summed over shards.
+	kernel sim.Counters
 }
 
 // NewEngine prepares (but does not set up) an engine over one mount:
@@ -379,6 +381,14 @@ func (e *Engine) Run(from, until sim.Time) (sim.Time, error) {
 		sh.begin(sl.Shard(i), until, subs[i])
 	}
 	sl.Run()
+	e.kernel = sim.Counters{}
+	for i := range edges {
+		c := sl.Shard(i).Counters()
+		e.kernel.Events += c.Events
+		e.kernel.Resumes += c.Resumes
+		e.kernel.InPlace += c.InPlace
+		e.kernel.Spawned += c.Spawned
+	}
 	// The first queue's snapshot is the base the others merge into, so
 	// one queue's 100k-owner map is copied once, not rebuilt.
 	e.qstats = queues[0].Stats()
