@@ -203,8 +203,9 @@ func (q *Queue) Pending() int {
 
 // Submit enqueues one request at virtual time at (clamped to the
 // loop's now — arrivals cannot predate the present). done, when
-// non-nil, is invoked in loop context at the request's completion time;
-// fire-and-forget submissions pass nil.
+// non-nil, is invoked in loop context at the request's completion time,
+// as the last act of its event, so done may resume a process with
+// sim.Proc.RunEvent; fire-and-forget submissions pass nil.
 func (q *Queue) Submit(at sim.Time, req Request, done func(sim.Time, error)) {
 	q.submit(at, req, done, nil)
 }
@@ -216,7 +217,8 @@ func (q *Queue) Submit(at sim.Time, req Request, done func(sim.Time, error)) {
 type RemoteSender func(at sim.Time, fn func())
 
 // SubmitRemote enqueues a request on behalf of another shard: done is
-// not invoked locally but mailed through send at the completion time.
+// not invoked locally but mailed through send at the completion time,
+// where it is the whole of the mailed event, and so its last act.
 // Because the device promises done >= dispatch + MinLatency and the
 // sharded engine's lookahead is MinLatency, the completion
 // mail — sent at dispatch, stamped with the completion time — is

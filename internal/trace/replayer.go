@@ -110,6 +110,9 @@ type stream struct {
 	arrival sim.Time
 	queue   []job // FIFO backlog; qhead avoids reslicing so the array is reused
 	qhead   int
+	// idle is set while the worker is parked with nothing to do, so
+	// the next arrival resumes it; a worker parked on its own
+	// realignment event (RunEvent) is not idle.
 	idle    bool
 	proc    *sim.Proc
 	fds     map[string]*vfs.FD
@@ -148,9 +151,13 @@ type tenant struct {
 // DropCaches, SetProbe, Run, Load, Counter), so a trace slots into
 // Experiment wherever a Workload would.
 //
-// Replay streams: each dispatcher reads its tenant's source through
-// an Iterator, so memory stays O(streams + in-flight backlog), never
-// O(records).
+// Each captured stream runs on one sim.Proc. In timed and scaled
+// modes a per-tenant dispatcher, an event target with no process of
+// its own, hands records to those procs; an afap stream reads its own
+// records. A record therefore costs one process resume when its
+// stream is idle. Replay streams: each dispatcher reads its tenant's
+// source through an Iterator, so memory stays O(streams + in-flight
+// backlog), never O(records).
 type Engine struct {
 	m       *vfs.Mount
 	cfg     EngineConfig
@@ -286,8 +293,8 @@ func (e *Engine) DropCaches() {
 // scheduled at or beyond it and workers abandon their remaining
 // backlog, which the load gauge then reports as offered-but-not-
 // completed. The run executes on a discrete-event loop — one proc
-// per stream plus one dispatcher per tenant in timed/scaled modes —
-// so results are bit-identical at any host parallelism.
+// per stream, plus one dispatcher event per tenant in timed/scaled
+// modes — so results are bit-identical at any host parallelism.
 func (e *Engine) Run(from, until sim.Time) (sim.Time, error) {
 	// Iterators open before the mount enters event mode, so open errors
 	// are synchronous and leave nothing to unwind but the iterators:
@@ -331,12 +338,12 @@ func (e *Engine) Run(from, until sim.Time) (sim.Time, error) {
 	}
 	e.m.BeginEvents(loop, q)
 	e.runErr = nil
-	procs := e.workers
+	// Every worker and dispatcher holds at most one pending event.
+	remaining := e.workers
 	if open {
-		procs += len(e.tenants)
+		remaining += len(e.tenants)
 	}
-	loop.Reserve(procs + 16)
-	remaining := procs
+	loop.Reserve(remaining + 16)
 	if remaining == 0 {
 		e.m.StopWriteback()
 	}
@@ -360,13 +367,16 @@ func (e *Engine) Run(from, until sim.Time) (sim.Time, error) {
 		}
 	}
 	for _, s := range starts {
+		if s.st == nil {
+			loop.ScheduleTarget(from, &dispatcher{
+				e: e, tn: s.tn, it: s.it, loop: loop,
+				from: from, until: until, scale: e.cfg.scale(), finish: finish,
+			})
+			continue
+		}
 		loop.Go(from, func(p *sim.Proc) {
 			defer finish()
-			if s.st != nil {
-				e.afapWorker(p, s.st, s.it, until)
-			} else {
-				e.dispatch(p, s.tn, s.it, from, until)
-			}
+			e.afapWorker(p, s.st, s.it, until)
 		})
 	}
 	loop.Run()
@@ -386,51 +396,86 @@ func (e *Engine) Run(from, until sim.Time) (sim.Time, error) {
 	return end, e.runErr
 }
 
-// dispatch is a tenant's arrival process in timed/scaled modes: it
-// streams records off the source, waits until each record's (scaled)
-// submission time, and hands it to its stream's worker — never
-// waiting for service completions, so offered load is faithful to the
-// recording regardless of how the replayed system keeps up.
-func (e *Engine) dispatch(p *sim.Proc, tn *tenant, it Iterator, from, until sim.Time) {
-	defer func() {
-		tn.genDone = true
-		for _, st := range tn.streams {
-			if st.idle {
-				st.idle = false
-				st.proc.Unpark()
-			}
-		}
-	}()
-	scale := e.cfg.scale()
+// dispatcher is a tenant's arrival process in timed/scaled modes: it
+// streams records off the source and hands each to its stream's
+// worker at the record's (scaled) submission time, never waiting for
+// service completions, so offered load is faithful to the recording
+// regardless of how the replayed system keeps up. It is an event
+// target that schedules itself at its next record's time, so it costs
+// no process and no goroutine.
+type dispatcher struct {
+	e           *Engine
+	tn          *tenant
+	it          Iterator
+	loop        *sim.EventLoop
+	from, until sim.Time
+	scale       float64
+	finish      func()
+	// next is the record the pending event delivers, if held.
+	next job
+	held bool
+}
+
+// RunEvent implements sim.EventTarget. It delivers the record it was
+// scheduled for, then reads on: records due by now are delivered in
+// this event, records at or past the horizon are skipped, and the
+// first later record is held for an event at its time. At the end of
+// the source, on a read error, or once a run error is set, it ends
+// the tenant's arrivals.
+func (d *dispatcher) RunEvent() {
+	e, now := d.e, d.loop.Now()
+	if d.held {
+		d.held = false
+		d.deliver(d.next)
+	}
 	for e.runErr == nil {
-		rec, err := it.Next()
+		rec, err := d.it.Next()
 		if err == io.EOF {
-			return
+			break
 		}
 		if err != nil {
 			e.runErr = err
-			return
+			break
 		}
-		sched := from + sim.Time(float64(rec.At)/scale)
-		if sched >= until {
+		sched := d.from + sim.Time(float64(rec.At)/d.scale)
+		if sched >= d.until {
 			// Past the horizon: this record (and, in a time-ordered
 			// trace, every later one) is never offered.
 			continue
 		}
-		p.WaitUntil(sched)
-		st, ok := tn.byID[rec.Stream]
-		if !ok {
-			e.runErr = fmt.Errorf("trace: record references unscanned stream %d", rec.Stream)
+		if sched > now {
+			d.next, d.held = job{rec: rec, at: sched}, true
+			d.loop.ScheduleTarget(sched, d)
 			return
 		}
-		e.load.Arrive()
-		st.queue = append(st.queue, job{rec: rec, at: sched})
+		d.deliver(job{rec: rec, at: sched})
+	}
+	d.tn.genDone = true
+	for _, st := range d.tn.streams {
 		if st.idle {
-			// Direct baton handoff, as in the workload engine's open
-			// loop: deterministic under the one-baton discipline.
 			st.idle = false
 			st.proc.Unpark()
 		}
+	}
+	d.finish()
+}
+
+// deliver queues one record on its stream and resumes the stream's
+// worker if it is idle.
+func (d *dispatcher) deliver(j job) {
+	st, ok := d.tn.byID[j.rec.Stream]
+	if !ok {
+		d.e.runErr = fmt.Errorf("trace: record references unscanned stream %d", j.rec.Stream)
+		return
+	}
+	d.e.load.Arrive()
+	st.queue = append(st.queue, j)
+	if st.idle {
+		// Direct baton handoff, as in the workload engine's open
+		// loop: deterministic under the one-baton discipline. Unpark,
+		// because the dispatcher reads on once the worker yields.
+		st.idle = false
+		st.proc.Unpark()
 	}
 }
 
@@ -445,14 +490,17 @@ func (e *Engine) streamWorker(p *sim.Proc, st *stream, until sim.Time) {
 			if st.tn.genDone {
 				return
 			}
-			// Realign with the global clock before parking so the
-			// wake-up cannot rewind this worker's local clock.
-			p.WaitUntil(st.now)
-			if st.pending() == 0 && !st.tn.genDone {
+			if st.now > p.Now() {
+				// Realign with the global clock before going idle, so
+				// a wake-up cannot rewind this worker's local clock.
+				// The check runs in loop context (RunEvent), which
+				// resumes the worker only if work arrived meanwhile.
+				p.Loop().ScheduleTarget(st.now, st)
+			} else {
 				st.idle = true
-				if t := p.Park(); t > st.now {
-					st.now = t
-				}
+			}
+			if t := p.Park(); t > st.now {
+				st.now = t
 			}
 			continue
 		}
@@ -476,6 +524,19 @@ func (e *Engine) streamWorker(p *sim.Proc, st *stream, until sim.Time) {
 		}
 		e.load.Complete()
 	}
+}
+
+// RunEvent implements sim.EventTarget: the stream's worker, out of
+// work, has realigned with the loop clock. If nothing arrived
+// meanwhile the stream goes idle and its worker stays parked until the
+// next arrival; otherwise the worker resumes, as the event's last act,
+// and so as from its own wake.
+func (st *stream) RunEvent() {
+	if st.pending() == 0 && !st.tn.genDone {
+		st.idle = true
+		return
+	}
+	st.proc.RunEvent()
 }
 
 // afapWorker replays one stream closed-loop: it filters the tenant's

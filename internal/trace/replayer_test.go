@@ -314,15 +314,16 @@ func statTrace(records int, seed uint64) *Trace {
 // TestReplayKernelCounters pins the loop tallies of a timed replay of
 // the benchmark's stat trace. A stat takes 3.875 µs and each stream's
 // next record comes 8 µs after its last, so every record finds its
-// stream idle: the dispatcher wakes for it and resumes the stream, and
-// the stream realigns with the loop clock once the stat returns. That
-// is two events and three process resumes per record.
+// stream idle: the dispatcher's event hands it over and resumes the
+// stream's worker, and the stream's own event, once the stat returns,
+// finds it idle again. That is two events and one process resume per
+// record; neither event is a process.
 func TestReplayKernelCounters(t *testing.T) {
 	const records = 4096
 	eng := runEngine(t, EngineConfig{
 		Mode: Timed, Tenants: []Source{MemorySource(statTrace(records, 7))},
 	}, records*sim.Microsecond+sim.Millisecond).eng
-	want := sim.Counters{Events: 8199, Resumes: 12299, InPlace: 3, Spawned: 10}
+	want := sim.Counters{Events: 8202, Resumes: 4114, InPlace: 0, Spawned: 9}
 	if eng.kernel != want {
 		t.Errorf("kernel tallies %+v, want %+v", eng.kernel, want)
 	}

@@ -218,7 +218,10 @@ func (m *Mount) Readahead() cache.Readahead { return m.ra }
 // implements it with a cross-shard bridge so a mount on a thread shard
 // can submit to the queue owned by the device shard. done, when
 // non-nil, must be invoked in the submitting loop's context at the
-// request's completion time.
+// request's completion time, as the last act of its event: nothing in
+// that event may run after done returns. That is what lets a blocking
+// submission resume its process with Proc.RunEvent, as from the
+// process's own wake.
 type Submitter interface {
 	Submit(at sim.Time, req device.Request, done func(sim.Time, error))
 }
@@ -465,7 +468,9 @@ func (m *Mount) submitSync(at sim.Time, req device.Request) (sim.Time, error) {
 	var rerr error
 	m.sub.Submit(p.Now(), req, func(t sim.Time, err error) {
 		done, rerr = t, err
-		p.Unpark()
+		// The completion is its event's last act (Submitter), so p
+		// resumes as from its own wake.
+		p.RunEvent()
 	})
 	p.Park()
 	m.cur, m.curOwner = p, owner
@@ -561,7 +566,7 @@ func (m *Mount) submitBatchSync(at sim.Time, reqs []device.Request) (sim.Time, e
 				firstErr = err
 			}
 			if remaining == 0 {
-				p.Unpark()
+				p.RunEvent() // last act, as in submitSync
 			}
 		})
 	}
