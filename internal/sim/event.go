@@ -41,8 +41,9 @@ type EventLoop struct {
 type Counters struct {
 	// Events counts heap entries Step popped and ran.
 	Events uint64
-	// Resumes counts baton handoffs to a process: its start, a
-	// scheduled wake or an Unpark. Each costs two goroutine switches.
+	// Resumes counts baton handoffs to a process: its start, a wake
+	// (its own scheduled one, or an event's RunEvent call) or an
+	// Unpark. Each costs two goroutine switches.
 	Resumes uint64
 	// InPlace counts WaitUntil calls that advanced the clock without
 	// yielding the baton.
@@ -249,7 +250,8 @@ func (l *EventLoop) Go(start Time, body func(p *Proc)) *Proc {
 }
 
 // resume hands the baton to the process and blocks until it parks or
-// finishes. It runs in loop context (inside an event).
+// finishes. It runs in the baton holder's context: inside an event, or
+// in a process that unparks another.
 func (p *Proc) resume() {
 	p.loop.counters.Resumes++
 	p.wake <- p.loop.Now()
@@ -264,9 +266,9 @@ func (p *Proc) resume() {
 //
 // An event may also call RunEvent itself, instead of Unpark, to resume
 // a parked process, provided the call is the event's last act: every
-// function on the way down returns as soon as it returns. The process
-// then counts as resumed from its own wake. Where any code runs after
-// the process yields, use Unpark.
+// caller between the event and this call returns as soon as its callee
+// does. The process then counts as resumed from its own wake. Where
+// any code runs after the process yields, use Unpark.
 func (p *Proc) RunEvent() {
 	l := p.loop
 	l.woken = p

@@ -297,7 +297,7 @@ func TestRunOpenErrorDoesNotLeak(t *testing.T) {
 
 // statTrace is the host-cost benchmark's replay trace in small:
 // records stats 1 µs apart, dealt round-robin over 8 streams, each of
-// one of 64 paths drawn from seed.
+// a path drawn from seed among 64.
 func statTrace(records int, seed uint64) *Trace {
 	rng := sim.NewRNG(seed)
 	tr := &Trace{}
