@@ -6,6 +6,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/device"
 	"repro/internal/fs/ext2sim"
+	"repro/internal/fs/ext3sim"
 	"repro/internal/sim"
 	"repro/internal/vfs"
 )
@@ -29,6 +30,44 @@ func missMount(t testing.TB) *vfs.Mount {
 		cfg)
 }
 
+// writeMount is the host-cost benchmark's write-mix stack in small:
+// ext3 in ordered mode on an SSD.
+func writeMount(t testing.TB) *vfs.Mount {
+	t.Helper()
+	fsys, err := ext3sim.New(262144, ext3sim.Ordered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vfs.New(fsys,
+		device.NewSSD(device.DefaultSSD(), sim.NewRNG(21)),
+		cache.NewHierarchy(cache.New(4096, cache.NewLRU()), nil),
+		vfs.DefaultConfig())
+}
+
+// drainMount is the host-cost benchmark's drain-100k stack in small:
+// the test disk behind an ncq queue of depth 32.
+func drainMount(t testing.TB) *vfs.Mount {
+	t.Helper()
+	fsys, err := ext2sim.New(262144)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := vfs.DefaultConfig()
+	cfg.Scheduler, cfg.QueueDepth = device.SchedNCQ, 32
+	return vfs.New(fsys,
+		device.NewHDD(device.DefaultHDD(), sim.NewRNG(21)),
+		cache.NewHierarchy(cache.New(2048, cache.NewLRU()), nil),
+		cfg)
+}
+
+// writeMix is the benchmark's write-mix load in small: one FileServer
+// thread over 100 files of exactly 128 KB.
+func writeMix() *Workload {
+	w := FileServer(100, 128<<10, 1)
+	w.FileSets[0].ParetoAlpha = 0
+	return w
+}
+
 // TestKernelCounters pins the loop tallies of one Run on small shapes
 // of the host-cost benchmark's workloads. They are exact for a
 // configuration and seed, so they move only when the way the engine
@@ -38,6 +77,7 @@ func TestKernelCounters(t *testing.T) {
 		name  string
 		mount func(testing.TB) *vfs.Mount
 		w     *Workload
+		seed  uint64
 		dur   sim.Time
 		cold  bool
 		ops   int64
@@ -50,6 +90,7 @@ func TestKernelCounters(t *testing.T) {
 		name:  "miss-read",
 		mount: missMount,
 		w:     RandomRead(16<<20, 4<<10, 16),
+		seed:  7,
 		dur:   50 * sim.Millisecond,
 		cold:  true,
 		ops:   3441,
@@ -62,13 +103,48 @@ func TestKernelCounters(t *testing.T) {
 		name:  "cached-read",
 		mount: func(t testing.TB) *vfs.Mount { return testMount(t, 4096) },
 		w:     RandomRead(8<<20, 2<<10, 1),
+		seed:  7,
 		dur:   50 * sim.Millisecond,
 		ops:   501,
 		want:  sim.Counters{Events: 3, Resumes: 3, InPlace: 500, Spawned: 2},
+	}, {
+		// Creates, appends, whole-file reads, stats and deletes on
+		// ext3: most events are device completions of journal and
+		// write-back I/O, and few of them resume a process.
+		name:  "write-mix",
+		mount: writeMount,
+		w:     writeMix(),
+		seed:  7,
+		dur:   200 * sim.Millisecond,
+		ops:   295,
+		want:  sim.Counters{Events: 2903, Resumes: 215, InPlace: 108, Spawned: 2},
+	}, {
+		// 256 readers each put one cold read in the queue at once and
+		// none returns before the horizon: the run is the drain of
+		// that backlog, one op per reader.
+		name:  "drain",
+		mount: drainMount,
+		w:     MixedRegions(4, 64, 0, 4<<20, 2<<10),
+		seed:  7,
+		dur:   100 * sim.Millisecond,
+		cold:  true,
+		ops:   256,
+		want:  sim.Counters{Events: 1330, Resumes: 1278, InPlace: 256, Spawned: 257},
+	}, {
+		// Two open classes over a warm file: each class's generator
+		// hands arrivals to its workers, which run ahead of the loop
+		// on cache hits and go idle between arrivals.
+		name:  "two-classes-warm",
+		mount: func(t testing.TB) *vfs.Mount { return testMount(t, 2048) },
+		w:     twoClassWarm(),
+		seed:  77,
+		dur:   50 * sim.Millisecond,
+		ops:   443,
+		want:  sim.Counters{Events: 816, Resumes: 1255, InPlace: 79, Spawned: 8},
 	}}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e, err := NewEngine(tc.mount(t), tc.w, 7)
+			e, err := NewEngine(tc.mount(t), tc.w, tc.seed)
 			if err != nil {
 				t.Fatal(err)
 			}

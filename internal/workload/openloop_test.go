@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"strings"
 	"testing"
@@ -266,5 +268,185 @@ thread reader count=2 overhead=96us arrival=burst rate=250.5 burst=8 {
 	}
 	if FormatWDL(reparsed) != text {
 		t.Errorf("WDL open-loop round trip unstable:\n%s\nvs\n%s", text, FormatWDL(reparsed))
+	}
+}
+
+// olThreads is an open-loop class of n workers reading 2 KB pages at
+// random from fileset "data".
+func olThreads(name string, n int, a Arrival) ThreadSpec {
+	return ThreadSpec{
+		Name: name, Count: n, PerOpOverhead: DefaultPerOpOverhead, Arrival: a,
+		Flowops: []Flowop{{Kind: OpReadRand, FileSet: "data", IOSize: 2 << 10}},
+	}
+}
+
+// olWorkload reads one file of size bytes with the given thread
+// classes.
+func olWorkload(size int64, threads ...ThreadSpec) *Workload {
+	return &Workload{
+		Name: "olpin",
+		FileSets: []FileSet{{
+			Name: "data", Dir: "/data", Entries: 1, MeanSize: size, PreallocFrac: 1,
+		}},
+		Threads: threads,
+	}
+}
+
+// twoClassWarm is two open classes over a file the cache holds. Every
+// op is a cache hit, so a worker's clock runs ahead of the loop, and
+// a worker that then finds its class's backlog empty goes idle.
+func twoClassWarm() *Workload {
+	return olWorkload(4<<20,
+		olThreads("a", 3, Arrival{Kind: ArrivalPoisson, Rate: 6000}),
+		olThreads("b", 2, Arrival{Kind: ArrivalUniform, Rate: 3000}))
+}
+
+// olRun is one pinned open-loop run: the sha256 of every op the probe
+// saw, in call order, then the counter, the load gauge and the run
+// length; and how many ops arrived while their worker's previous op
+// was still running (busy) or after it returned (idle).
+type olRun struct {
+	digest     string
+	load       metrics.LoadGauge
+	owners     map[int]int
+	busy, idle int
+	submitted  int64
+}
+
+// pinnedOpenLoop runs w on testMount(t, 2048) at seed 77 for dur,
+// cold if asked.
+func pinnedOpenLoop(t *testing.T, w *Workload, dur sim.Time, cold bool) olRun {
+	t.Helper()
+	e, err := NewEngine(testMount(t, 2048), w, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := olRun{owners: map[int]int{}}
+	h := sha256.New()
+	last := map[int]sim.Time{}
+	e.SetProbe(&Probe{Trace: func(owner int, kind OpKind, path string, offset, size int64, start, done sim.Time) {
+		fmt.Fprintf(h, "%d %v %s %d %d %d %d\n", owner, kind, path, offset, size, start, done)
+		r.owners[owner]++
+		if start < last[owner] {
+			r.busy++
+		} else {
+			r.idle++
+		}
+		last[owner] = done
+	}})
+	start, err := e.Setup(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold {
+		e.DropCaches()
+	}
+	end, err := e.Run(start, start+dur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.load = e.Load()
+	r.submitted = e.QueueStats().Submitted
+	fmt.Fprintf(h, "%+v %+v %d\n", e.Counter(), r.load, end-start)
+	r.digest = hex.EncodeToString(h.Sum(nil))
+	return r
+}
+
+// TestOpenLoopOrderPinned pins the order in which the open loop
+// executes: every op with its timing, in the order the probe sees
+// them, for four shapes of arrival process and worker pool. Two runs
+// of one build agreeing says nothing about a change to the engine;
+// these literals do.
+func TestOpenLoopOrderPinned(t *testing.T) {
+	cases := []struct {
+		name  string
+		w     *Workload
+		dur   sim.Time
+		cold  bool
+		want  string
+		check func(olRun) error
+	}{{
+		// A Poisson pool beside closed-loop readers on a cold file
+		// eight times the cache: both kinds of thread block on the
+		// device and contend for it.
+		name: "poisson-pool-cold",
+		w: olWorkload(64<<20,
+			ThreadSpec{
+				Name: "reader", Count: 2, PerOpOverhead: DefaultPerOpOverhead,
+				Flowops: []Flowop{{Kind: OpReadRand, FileSet: "data", IOSize: 2 << 10}},
+			},
+			olThreads("pool", 4, Arrival{Kind: ArrivalPoisson, Rate: 300})),
+		dur:  300 * sim.Millisecond,
+		cold: true,
+		want: "be841539d2802a8c62c36e11fa04d47e261457c846e4cb73512f1e1a0967828e",
+		check: func(r olRun) error {
+			for owner := 0; owner < 6; owner++ {
+				if r.owners[owner] == 0 {
+					return fmt.Errorf("owner %d recorded nothing", owner)
+				}
+			}
+			if r.submitted == 0 {
+				return fmt.Errorf("no device submissions on a cold file")
+			}
+			return nil
+		},
+	}, {
+		// One worker offered more than it can serve: the horizon
+		// abandons its backlog.
+		name: "uniform-above-capacity",
+		w:    olWorkload(64<<20, olThreads("r", 1, Arrival{Kind: ArrivalUniform, Rate: 500})),
+		dur:  200 * sim.Millisecond,
+		cold: true,
+		want: "0ea06570430400216421e060a19676fc7513038e06febb0507adec6b0e4790d6",
+		check: func(r olRun) error {
+			if r.load.Offered <= r.load.Completed {
+				return fmt.Errorf("load %+v: the horizon must abandon backlog", r.load)
+			}
+			return nil
+		},
+	}, {
+		// Bursts of eight over two workers queue behind both.
+		name: "burst",
+		w:    olWorkload(4<<20, olThreads("r", 2, Arrival{Kind: ArrivalBurst, Rate: 8000, Burst: 8})),
+		dur:  50 * sim.Millisecond,
+		want: "dfd033345686f9600a332f3917ff9b11b841b6a4fc934b54273680709d8f915c",
+		check: func(r olRun) error {
+			if r.load.BacklogPeak <= 2 {
+				return fmt.Errorf("load %+v: a burst must queue past the two workers", r.load)
+			}
+			return nil
+		},
+	}, {
+		// Two open classes, warm: workers run ahead of the loop on
+		// cache hits and go idle between arrivals.
+		name: "two-classes-warm",
+		w:    twoClassWarm(),
+		dur:  50 * sim.Millisecond,
+		want: "02958e263b619c923951f2d3fa3ca03a5e1848338b3ff5c52bfb9ad0ed79fcec",
+		check: func(r olRun) error {
+			if r.submitted != 0 {
+				return fmt.Errorf("%d device submissions on a warm file", r.submitted)
+			}
+			if r.idle == 0 || r.busy == 0 {
+				return fmt.Errorf("%d arrivals found their worker busy and %d idle; the run must exercise both", r.busy, r.idle)
+			}
+			for owner := 0; owner < 5; owner++ {
+				if r.owners[owner] == 0 {
+					return fmt.Errorf("owner %d recorded nothing", owner)
+				}
+			}
+			return nil
+		},
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := pinnedOpenLoop(t, tc.w, tc.dur, tc.cold)
+			if r.digest != tc.want {
+				t.Errorf("open-loop digest %s, want %s", r.digest, tc.want)
+			}
+			if err := tc.check(r); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
