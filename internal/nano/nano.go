@@ -176,10 +176,7 @@ func mountWithFile(stack core.StackConfig, seed uint64, size int64, cold bool) (
 		return nil, nil, 0, err
 	}
 	if cold {
-		m.PC.L1.Flush()
-		if m.PC.L2 != nil {
-			m.PC.L2.Flush()
-		}
+		m.DropCaches()
 	}
 	m.ResetStats()
 	return m, fd, now, nil
@@ -391,7 +388,7 @@ func layoutAged(stack core.StackConfig, seed uint64) (Score, error) {
 	if now, err = m.SyncAll(now); err != nil {
 		return Score{}, err
 	}
-	m.PC.L1.Flush()
+	m.DropCaches()
 	m.ResetStats()
 	start := now
 	var bytes int64

@@ -335,8 +335,9 @@ func (p *Proc) Park() Time {
 
 // Unpark resumes a parked process at the loop's current time and hands
 // it the baton until it parks again. The caller is an event callback
-// or another running process (the open-loop generator hands an arrival
-// straight to an idle worker); either way it runs on at the same
-// instant once the process yields, so the process yields at its next
-// wait instead of advancing in place.
+// (a Backlog's Put hands an arrival straight to an idle server) or
+// another running process (the write-back daemon resumes writers
+// parked on dirty pages); either way it runs on at the same instant
+// once the process yields, so the process yields at its next wait
+// instead of advancing in place.
 func (p *Proc) Unpark() { p.resume() }

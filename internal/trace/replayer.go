@@ -93,12 +93,6 @@ func (c EngineConfig) scale() float64 {
 	return 1
 }
 
-// job is one dispatched record with its (scaled) arrival time.
-type job struct {
-	rec Record
-	at  sim.Time
-}
-
 // stream is one replay worker: the records of one captured submission
 // stream execute in order on it, while distinct streams contend on
 // the device queue — the captured concurrency structure, preserved.
@@ -108,32 +102,11 @@ type stream struct {
 	tn      *tenant
 	now     sim.Time
 	arrival sim.Time
-	queue   []job // FIFO backlog; qhead avoids reslicing so the array is reused
-	qhead   int
-	// idle is set while the worker is parked with nothing to do, so
-	// the next arrival resumes it; a worker parked on its own
-	// realignment event (RunEvent) is not idle.
-	idle    bool
-	proc    *sim.Proc
+	// backlog holds the records dispatched to the stream and not yet
+	// served (timed and scaled modes); its one server is the worker.
+	backlog sim.Backlog[Record]
 	fds     map[string]*vfs.FD
 	fdOrder []string // open order: evictions and picks stay deterministic
-}
-
-// pending reports the stream's queued-but-unserved job count.
-func (st *stream) pending() int { return len(st.queue) - st.qhead }
-
-// pop removes and returns the oldest queued job, recycling the
-// backing array when the queue drains — replay memory stays bounded
-// by the live backlog, not the record count.
-func (st *stream) pop() job {
-	j := st.queue[st.qhead]
-	st.queue[st.qhead] = job{} // release the Record's path reference
-	st.qhead++
-	if st.qhead == len(st.queue) {
-		st.queue = st.queue[:0]
-		st.qhead = 0
-	}
-	return j
 }
 
 // tenant is one merged trace with its own namespace and streams.
@@ -143,7 +116,6 @@ type tenant struct {
 	scan    Scan
 	streams []*stream
 	byID    map[int]*stream
-	genDone bool
 }
 
 // Engine replays one or more traces against a mount on the event
@@ -153,11 +125,12 @@ type tenant struct {
 //
 // Each captured stream runs on one sim.Proc. In timed and scaled
 // modes a per-tenant dispatcher, an event target with no process of
-// its own, hands records to those procs; an afap stream reads its own
-// records. A record therefore costs one process resume when its
-// stream is idle. Replay streams: each dispatcher reads its tenant's
-// source through an Iterator, so memory stays O(streams + in-flight
-// backlog), never O(records).
+// its own, puts records on the streams' sim.Backlogs, which those
+// procs serve; an afap stream reads its own records. A record
+// therefore costs one process resume when its stream is idle. Replay
+// streams: each dispatcher reads its tenant's source through an
+// Iterator, so memory stays O(streams + in-flight backlog), never
+// O(records).
 type Engine struct {
 	m       *vfs.Mount
 	cfg     EngineConfig
@@ -218,30 +191,6 @@ func (e *Engine) Counter() metrics.Counter { return e.counter }
 // how it hides saturation.
 func (e *Engine) Load() metrics.LoadGauge { return e.load }
 
-// Workers reports the total stream-worker count across tenants (the
-// engine's OwnerID space; owners are dense in [0, Workers)).
-func (e *Engine) Workers() int { return e.workers }
-
-// Span reports the longest tenant's recorded duration.
-func (e *Engine) Span() sim.Time {
-	var span sim.Time
-	for _, tn := range e.tenants {
-		if tn.scan.Span > span {
-			span = tn.scan.Span
-		}
-	}
-	return span
-}
-
-// Records reports the total record count across tenants.
-func (e *Engine) Records() int64 {
-	var n int64
-	for _, tn := range e.tenants {
-		n += tn.scan.Records
-	}
-	return n
-}
-
 // Setup reconstructs the namespace the capture assumed: every path
 // the trace references without first creating is pre-created, files
 // sized to the largest extent the trace reads (Scan.Extents), so
@@ -281,12 +230,7 @@ func (e *Engine) Setup(at sim.Time) (sim.Time, error) {
 }
 
 // DropCaches empties the page cache (cold-start replay).
-func (e *Engine) DropCaches() {
-	e.m.PC.L1.Flush()
-	if e.m.PC.L2 != nil {
-		e.m.PC.L2.Flush()
-	}
-}
+func (e *Engine) DropCaches() { e.m.DropCaches() }
 
 // Run replays from virtual time `from` until the trace is exhausted
 // or the horizon `until` passes: dispatchers stop offering records
@@ -360,7 +304,6 @@ func (e *Engine) Run(from, until sim.Time) (sim.Time, error) {
 			if open {
 				loop.Go(from, func(p *sim.Proc) {
 					defer finish()
-					st.proc = p
 					e.streamWorker(p, st, until)
 				})
 			}
@@ -411,8 +354,10 @@ type dispatcher struct {
 	from, until sim.Time
 	scale       float64
 	finish      func()
-	// next is the record the pending event delivers, if held.
-	next job
+	// next is the record the pending event delivers at its arrival
+	// time at, if held.
+	next Record
+	at   sim.Time
 	held bool
 }
 
@@ -420,13 +365,13 @@ type dispatcher struct {
 // scheduled for, then reads on: records due by now are delivered in
 // this event, records at or past the horizon are skipped, and the
 // first later record is held for an event at its time. At the end of
-// the source, on a read error, or once a run error is set, it ends
-// the tenant's arrivals.
+// the source, on a read error, or once a run error is set, it closes
+// the tenant's stream backlogs.
 func (d *dispatcher) RunEvent() {
 	e, now := d.e, d.loop.Now()
 	if d.held {
 		d.held = false
-		d.deliver(d.next)
+		d.deliver(d.next, d.at)
 	}
 	for e.runErr == nil {
 		rec, err := d.it.Next()
@@ -444,79 +389,45 @@ func (d *dispatcher) RunEvent() {
 			continue
 		}
 		if sched > now {
-			d.next, d.held = job{rec: rec, at: sched}, true
+			d.next, d.at, d.held = rec, sched, true
 			d.loop.ScheduleTarget(sched, d)
 			return
 		}
-		d.deliver(job{rec: rec, at: sched})
+		d.deliver(rec, sched)
 	}
-	d.tn.genDone = true
 	for _, st := range d.tn.streams {
-		if st.idle {
-			st.idle = false
-			st.proc.Unpark()
-		}
+		st.backlog.Close()
 	}
 	d.finish()
 }
 
-// deliver queues one record on its stream and resumes the stream's
-// worker if it is idle.
-func (d *dispatcher) deliver(j job) {
-	st, ok := d.tn.byID[j.rec.Stream]
+// deliver puts one record, arrived at at, on its stream's backlog.
+func (d *dispatcher) deliver(rec Record, at sim.Time) {
+	st, ok := d.tn.byID[rec.Stream]
 	if !ok {
-		d.e.runErr = fmt.Errorf("trace: record references unscanned stream %d", j.rec.Stream)
+		d.e.runErr = fmt.Errorf("trace: record references unscanned stream %d", rec.Stream)
 		return
 	}
 	d.e.load.Arrive()
-	st.queue = append(st.queue, j)
-	if st.idle {
-		// Direct baton handoff, as in the workload engine's open
-		// loop: deterministic under the one-baton discipline. Unpark,
-		// because the dispatcher reads on once the worker yields.
-		st.idle = false
-		st.proc.Unpark()
-	}
+	st.backlog.Put(at, rec)
 }
 
 // streamWorker executes one stream's dispatched records in order
-// (timed/scaled modes), parking when its queue drains. Latency is
+// (timed/scaled modes), serving the stream's backlog. Latency is
 // measured from the record's scheduled arrival, so time spent queued
 // behind a slow device is part of the recorded latency — the open-
-// loop signature.
+// loop signature. At the horizon the worker abandons what is left,
+// which the load gauge reports as offered minus completed.
 func (e *Engine) streamWorker(p *sim.Proc, st *stream, until sim.Time) {
+	srv := st.backlog.Serve(p)
 	for e.runErr == nil {
-		if st.pending() == 0 {
-			if st.tn.genDone {
-				return
-			}
-			if st.now > p.Now() {
-				// Realign with the global clock before going idle, so
-				// a wake-up cannot rewind this worker's local clock.
-				// The check runs in loop context (RunEvent), which
-				// resumes the worker only if work arrived meanwhile.
-				p.Loop().ScheduleTarget(st.now, st)
-			} else {
-				st.idle = true
-			}
-			if t := p.Park(); t > st.now {
-				st.now = t
-			}
-			continue
-		}
-		if st.now >= until {
-			// Abandon the backlog: the load gauge reports it as
-			// offered minus completed.
+		at, rec, ok := srv.Take(&st.now, until)
+		if !ok {
 			return
 		}
-		j := st.pop()
-		if j.at > st.now {
-			st.now = j.at
-		}
-		p.WaitUntil(st.now)
 		e.m.SetProc(p, st.owner+1)
-		st.arrival = j.at
-		if err := e.exec(st, j.rec); err != nil {
+		st.arrival = at
+		if err := e.exec(st, rec); err != nil {
 			if e.runErr == nil {
 				e.runErr = err
 			}
@@ -524,19 +435,6 @@ func (e *Engine) streamWorker(p *sim.Proc, st *stream, until sim.Time) {
 		}
 		e.load.Complete()
 	}
-}
-
-// RunEvent implements sim.EventTarget: the stream's worker, out of
-// work, has realigned with the loop clock. If nothing arrived
-// meanwhile the stream goes idle and its worker stays parked until the
-// next arrival; otherwise the worker resumes, as the event's last act,
-// and so as from its own wake.
-func (st *stream) RunEvent() {
-	if st.pending() == 0 && !st.tn.genDone {
-		st.idle = true
-		return
-	}
-	st.proc.RunEvent()
 }
 
 // afapWorker replays one stream closed-loop: it filters the tenant's

@@ -210,11 +210,15 @@ func TestMultiTenantMerge(t *testing.T) {
 		Mode: Timed, Tenants: []Source{src, src, src},
 	}, sim.Time(3600)*sim.Second)
 	eng := r.eng
-	if got := eng.Workers(); got != 6 {
+	if got := eng.workers; got != 6 {
 		t.Fatalf("workers = %d, want 6 (2 streams x 3 tenants)", got)
 	}
-	if got := eng.Records(); got != 9 {
-		t.Errorf("records = %d, want 9", got)
+	var records int64
+	for _, tn := range eng.tenants {
+		records += tn.scan.Records
+	}
+	if records != 9 {
+		t.Errorf("records = %d, want 9", records)
 	}
 	if got := eng.Counter().Ops + eng.Counter().Errors; got != 9 {
 		t.Errorf("replayed %d of 9 records", got)

@@ -208,6 +208,16 @@ func (m *Mount) ResetStats() {
 	m.Dev.ResetStats()
 }
 
+// DropCaches empties every cache tier, writing nothing back: the
+// cold-start condition of the paper's Figure 2 experiment. Call it
+// after SyncAll, or dirty pages are lost.
+func (m *Mount) DropCaches() {
+	m.PC.L1.Flush()
+	if m.PC.L2 != nil {
+		m.PC.L2.Flush()
+	}
+}
+
 // Readahead exposes the active readahead policy.
 func (m *Mount) Readahead() cache.Readahead { return m.ra }
 

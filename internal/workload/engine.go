@@ -302,12 +302,11 @@ func (e *Engine) Setup(at sim.Time) (sim.Time, error) {
 	return start, nil
 }
 
-// DropCaches empties every shard's page cache and per-file readahead
-// state — the cold-start condition of the paper's Figure 2
-// experiment.
+// DropCaches empties every shard's page cache — the cold-start
+// condition of the paper's Figure 2 experiment.
 func (e *Engine) DropCaches() {
 	for _, sh := range e.shards {
-		sh.dropCaches()
+		sh.m.DropCaches()
 	}
 }
 
@@ -317,10 +316,10 @@ func (e *Engine) DropCaches() {
 //
 // Closed-loop thread classes run the classic loop: each thread issues
 // its next op when the previous one completes. Open-loop classes add
-// a generator process per class that stamps arrival times and
-// dispatches op instances to the class's workers, so arrivals are not
-// gated by service completions; latency is measured from arrival, and
-// the offered-vs-completed gap lands in Load().
+// a generator per class, an event target, that stamps arrival times
+// and puts op instances on the backlog the class's workers serve, so
+// arrivals are not gated by service completions; latency is measured
+// from arrival, and the offered-vs-completed gap lands in Load().
 func (e *Engine) Run(from, until sim.Time) (sim.Time, error) {
 	n := len(e.shards)
 	if n > 1 && e.probe != nil && e.probe.Trace != nil {

@@ -61,8 +61,7 @@ func (th *threadState) curMap() map[string]int64 {
 }
 
 // classState is one open-loop thread class's shared state: the
-// arrival backlog its generator fills, the idle workers waiting for
-// it (in park order, so wake-ups are deterministic), and the class's
+// backlog its generator fills and its workers serve, and the class's
 // flowop cursor — in an open loop the *sequence* of op instances
 // belongs to the class, not to any one worker. Sequential-I/O cursors
 // live here too, for the same reason: instances of one logical stream
@@ -71,19 +70,11 @@ func (th *threadState) curMap() map[string]int64 {
 // makes the shared maps safe, §4.2.)
 type classState struct {
 	spec    *ThreadSpec
-	rng     *sim.RNG    // arrival-time draws
-	queue   []arrival   // generated, not yet picked up (FIFO)
-	idle    []*sim.Proc // workers parked waiting for arrivals (FIFO)
-	genDone bool
+	rng     *sim.RNG // arrival-time draws
+	backlog sim.Backlog[Flowop]
 	opIdx   int
 	iter    int
 	cursors map[string]int64 // class-owned sequential cursors
-}
-
-// arrival is one dispatched op instance.
-type arrival struct {
-	op Flowop
-	at sim.Time
 }
 
 // nextOp advances the class's flowop cursor.
@@ -238,18 +229,9 @@ func filePath(dir, set string, i int) string {
 	return fmt.Sprintf("%s/%s-%05d", dir, set, i)
 }
 
-// dropCaches empties the page cache and per-file readahead state —
-// the cold-start condition of the paper's Figure 2 experiment.
-func (s *shard) dropCaches() {
-	s.m.PC.L1.Flush()
-	if s.m.PC.L2 != nil {
-		s.m.PC.L2.Flush()
-	}
-}
-
 // begin puts the mount into event mode on loop, submitting through
-// sub, and spawns every thread and generator process at the loop's
-// current time.
+// sub, spawns every thread's process and schedules every class's
+// generator at the loop's current time.
 func (s *shard) begin(loop *sim.EventLoop, until sim.Time, sub vfs.Submitter) {
 	s.m.BeginEvents(loop, sub)
 	from := loop.Now()
@@ -288,9 +270,8 @@ func (s *shard) begin(loop *sim.EventLoop, until sim.Time, sub vfs.Submitter) {
 		})
 	}
 	for _, cs := range s.classes {
-		loop.Go(from, func(p *sim.Proc) {
-			defer finish()
-			s.generate(p, cs, until, &s.runErr)
+		loop.ScheduleTarget(from, &generator{
+			s: s, cs: cs, loop: loop, next: from, until: until, finish: finish,
 		})
 	}
 }
@@ -325,46 +306,23 @@ func (s *shard) closedLoop(p *sim.Proc, th *threadState, until sim.Time, runErr 
 	}
 }
 
-// workerLoop is one open-loop service process: it pulls op instances
-// off its class's arrival queue and executes them, parking on the
-// class's idle list when the queue is empty. Queueing delay ahead of
-// service — the open-loop signature — lands in the recorded latency
-// because execOp measures from the instance's arrival time.
+// workerLoop is one open-loop service process: it serves its class's
+// backlog, executing op instances in arrival order. Queueing delay
+// ahead of service — the open-loop signature — lands in the recorded
+// latency because execOp measures from the instance's arrival time.
+// At the horizon the worker abandons what is left, which Load()
+// reports as offered minus completed — the divergence a closed loop
+// cannot show.
 func (s *shard) workerLoop(p *sim.Proc, th *threadState, until sim.Time, runErr *error) {
-	cs := th.class
+	srv := th.class.backlog.Serve(p)
 	for *runErr == nil {
-		if len(cs.queue) == 0 {
-			if cs.genDone {
-				return
-			}
-			// Realign with the global clock before sleeping so the
-			// wake-up cannot rewind this worker's local clock, then
-			// re-check: an arrival may have landed during the yield.
-			p.WaitUntil(th.now)
-			if len(cs.queue) == 0 && !cs.genDone {
-				cs.idle = append(cs.idle, p)
-				if t := p.Park(); t > th.now {
-					th.now = t
-				}
-			}
-			continue
-		}
-		if th.now >= until {
-			// Abandon the backlog: Load() reports it as offered minus
-			// completed — the divergence a closed loop cannot show.
+		at, op, ok := srv.Take(&th.now, until)
+		if !ok {
 			return
 		}
-		job := cs.queue[0]
-		if cs.queue = cs.queue[1:]; len(cs.queue) == 0 {
-			cs.queue = nil // release the drained backing array
-		}
-		if job.at > th.now {
-			th.now = job.at
-		}
-		p.WaitUntil(th.now)
 		s.m.SetProc(p, th.owner+1)
-		th.arrival = job.at
-		err := s.execOp(th, job.op)
+		th.arrival = at
+		err := s.execOp(th, op)
 		s.load.Complete()
 		if err != nil {
 			if *runErr == nil {
@@ -375,27 +333,40 @@ func (s *shard) workerLoop(p *sim.Proc, th *threadState, until sim.Time, runErr 
 	}
 }
 
-// generate is an open-loop class's arrival process: it stamps arrival
-// times per the class's Arrival spec, appends op instances to the
-// class queue, and hands the baton to an idle worker when one is
-// parked. It never waits for service completions — that independence
-// is the whole point.
-func (s *shard) generate(p *sim.Proc, cs *classState, until sim.Time, runErr *error) {
-	defer func() {
-		// Wake every idle worker so it can observe genDone and exit;
-		// otherwise the parked procs would never finish and the
-		// write-back daemon would keep the loop alive forever.
-		cs.genDone = true
-		for len(cs.idle) > 0 {
-			w := cs.idle[0]
-			cs.idle = cs.idle[1:]
-			w.Unpark()
+// generator is an open-loop class's arrival process: it stamps arrival
+// times per the class's Arrival spec and puts op instances on the
+// class's backlog, which resumes an idle worker. It never waits for
+// service completions — that independence is the whole point. It is
+// an event target that schedules itself at its next arrival, so it
+// costs no process and no goroutine.
+type generator struct {
+	s           *shard
+	cs          *classState
+	loop        *sim.EventLoop
+	next, until sim.Time
+	// due is set once next is an arrival the pending event delivers.
+	due    bool
+	finish func()
+}
+
+// RunEvent implements sim.EventTarget. It delivers the arrivals due
+// now, a Burst of them for a burst class, then draws the next gap.
+// Once a run error is set or the next arrival falls at or past the
+// horizon, it closes the backlog, so idle workers exit.
+func (g *generator) RunEvent() {
+	s, cs, a := g.s, g.cs, g.cs.spec.Arrival
+	if g.due {
+		n := 1
+		if a.Kind == ArrivalBurst {
+			n = a.Burst
 		}
-	}()
-	a := cs.spec.Arrival
-	perOp := float64(sim.Second) / a.Rate
-	next := p.Now()
-	for *runErr == nil {
+		for i := 0; i < n; i++ {
+			s.load.Arrive()
+			cs.backlog.Put(g.next, cs.nextOp())
+		}
+	}
+	if s.runErr == nil {
+		perOp := float64(sim.Second) / a.Rate
 		var gap sim.Time
 		switch a.Kind {
 		case ArrivalPoisson:
@@ -408,33 +379,18 @@ func (s *shard) generate(p *sim.Proc, cs *classState, until sim.Time, runErr *er
 		if gap < 1 {
 			// A drawn or configured gap below the 1 ns clock resolution
 			// must still advance time, or a super-GHz rate would pin
-			// `next` forever and the generator would spin appending
-			// arrivals at one instant without ever yielding.
+			// `next` forever and the generator would reschedule itself
+			// at one instant without end.
 			gap = 1
 		}
-		next += gap
-		if next >= until {
+		if g.next += gap; g.next < g.until {
+			g.due = true
+			g.loop.ScheduleTarget(g.next, g)
 			return
 		}
-		p.WaitUntil(next)
-		n := 1
-		if a.Kind == ArrivalBurst {
-			n = a.Burst
-		}
-		for i := 0; i < n; i++ {
-			s.load.Arrive()
-			cs.queue = append(cs.queue, arrival{op: cs.nextOp(), at: next})
-			if len(cs.idle) > 0 {
-				// Direct baton handoff: the worker runs until it parks
-				// (on I/O or back onto the idle list), then control
-				// returns here — deterministic under the one-baton
-				// discipline.
-				w := cs.idle[0]
-				cs.idle = cs.idle[1:]
-				w.Unpark()
-			}
-		}
 	}
+	cs.backlog.Close()
+	g.finish()
 }
 
 // step executes one flowop on one thread, advancing its clock.
