@@ -233,13 +233,18 @@ func (f *FS) extend(ino fs.Ino, fl *file, n int64, now sim.Time) ([]fs.IOStep, e
 			}
 		}
 	}
-	oldBlocks := fl.ext.Blocks()
+	oldBlocks, oldGoal := fl.ext.Blocks(), fl.goal
 	fl.ext.Append(runs)
 	fl.goal = runs[len(runs)-1].Start + runs[len(runs)-1].Count
 	// Allocate indirect blocks newly needed for the grown range and
 	// charge their writes (plus parent pointer updates).
 	metaSteps, err := f.ensureMeta(fl, oldBlocks, fl.ext.Blocks())
 	if err != nil {
+		// The data fit but its indirect blocks did not: give back
+		// everything this call took, so a failed extend changes
+		// nothing.
+		f.shrink(ino, fl, oldBlocks)
+		fl.goal = oldGoal
 		return nil, err
 	}
 	steps = append(steps, metaSteps...)

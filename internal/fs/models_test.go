@@ -3,6 +3,7 @@ package fs_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash"
 	"testing"
@@ -275,4 +276,176 @@ func (s *stepScript) run() {
 	if f.Name() == "xfs" && s.btreeReads == 0 {
 		s.t.Error("no xfs Map charged mapping reads: the script never spilled an extent list")
 	}
+}
+
+// fuzzBlocks is 256 MB, the smallest disk ext2 formats: a few resizes
+// fill it, so ENOSPC paths run too.
+const fuzzBlocks = int64(65536)
+
+// fuzzNode is one live entry the fuzzer can act on. The root has no
+// parent and is never removed.
+type fuzzNode struct {
+	parent fs.Ino
+	name   string
+	ino    fs.Ino
+	dir    bool
+}
+
+// FuzzModels decodes its input as create, mkdir, resize and remove
+// operations, three bytes each, and runs them on each model. After
+// every operation it checks what an fsck would: no disk block is
+// claimed twice, by two files' data or by data and any file's mapping
+// metadata; every extent lies on the device; each inode's Blocks
+// equals the blocks its map covers; and the free count leaves room
+// for everything claimed.
+func FuzzModels(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 8, 1, 0, 12, 0, 0, 2, 0x40, 0, 6, 0x40, 0, 3, 0, 0})
+	f.Add([]byte{1, 0, 0, 4, 0, 0, 5, 0, 0, 10, 0x10, 0, 3, 0, 0, 7, 0, 0, 7, 0, 0, 3, 0, 0})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 6, 0xff, 0xff, 10, 0xff, 0xff, 2, 0xff, 0xff, 7, 0, 0, 6, 0, 1})
+	// Four 64 MB files, the last sized so its data fits the free space
+	// but its ext2 indirect blocks do not.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 6, 0xff, 0xfc, 10, 0xff, 0xfc, 14, 0xff, 0xfc, 18, 0xf7, 0x1c})
+	long := make([]byte, 600)
+	x := uint32(1)
+	for i := range long {
+		x = x*1664525 + 1013904223
+		long[i] = byte(x >> 24)
+	}
+	f.Add(long)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const maxOps = 200
+		if len(data) > 3*maxOps {
+			data = data[:3*maxOps]
+		}
+		for _, mk := range []func() (fs.FileSystem, error){
+			func() (fs.FileSystem, error) { return ext2sim.New(fuzzBlocks) },
+			func() (fs.FileSystem, error) { return ext3sim.New(fuzzBlocks, ext3sim.Ordered) },
+			func() (fs.FileSystem, error) { return xfssim.New(fuzzBlocks, 4) },
+		} {
+			m, err := mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fuzzModel(t, m, data)
+		}
+	})
+}
+
+// fuzzModel runs the decoded operations on m, checking it after each.
+func fuzzModel(t *testing.T, m fs.FileSystem, data []byte) {
+	nodes := []fuzzNode{{ino: m.Root(), dir: true}}
+	claimed := make([]bool, m.BlocksTotal())
+	var now sim.Time
+	for i := 0; i+3 <= len(data); i += 3 {
+		now += sim.Millisecond
+		k := int(data[i]) / 4 % len(nodes)
+		n := nodes[k]
+		var op string
+		var err error
+		switch data[i] % 4 {
+		case 0, 1:
+			ft := fs.FileType(data[i] % 2) // 0 Regular, 1 Directory
+			name := fmt.Sprintf("n%d", i)
+			op = "create " + name + " in " + n.name
+			var ino fs.Ino
+			ino, _, err = m.Create(n.ino, name, ft, now)
+			switch {
+			case err == nil:
+				nodes = append(nodes, fuzzNode{parent: n.ino, name: name, ino: ino, dir: ft == fs.Directory})
+			case !n.dir && errors.Is(err, fs.ErrNotDir), errors.Is(err, fs.ErrNoSpace):
+				err = nil
+			}
+		case 2:
+			size := (int64(data[i+1])<<8 | int64(data[i+2])) << 10 // up to 64 MB
+			op = fmt.Sprintf("resize %s to %d", n.name, size)
+			_, err = m.Resize(n.ino, size, now)
+			if n.dir && errors.Is(err, fs.ErrIsDir) || errors.Is(err, fs.ErrNoSpace) {
+				err = nil
+			}
+		case 3:
+			if k == 0 {
+				continue // the root
+			}
+			op = "remove " + n.name
+			_, err = m.Remove(n.parent, n.name, now)
+			switch {
+			case err == nil:
+				nodes = append(nodes[:k], nodes[k+1:]...)
+			case n.dir && errors.Is(err, fs.ErrNotEmpty):
+				err = nil
+			}
+		}
+		if err != nil {
+			t.Fatalf("%s: op %d (%s): %v", m.Name(), i/3, op, err)
+		}
+		if msg := fsck(m, nodes, claimed); msg != "" {
+			t.Fatalf("%s: after op %d (%s): %s", m.Name(), i/3, op, msg)
+		}
+	}
+}
+
+// fsck checks m's layout over the live nodes, using claimed (one
+// entry per disk block) as scratch. It returns the first violation,
+// or "".
+func fsck(m fs.FileSystem, nodes []fuzzNode, claimed []bool) string {
+	clear(claimed)
+	total := m.BlocksTotal()
+	var used int64
+	for _, n := range nodes {
+		exts, steps, err := m.Map(n.ino, 0, total)
+		if err != nil {
+			return fmt.Sprintf("Map(%d): %v", n.ino, err)
+		}
+		var mapped int64
+		for _, e := range exts {
+			if e.DiskBlock < 0 || e.Count <= 0 || e.DiskBlock+e.Count > total {
+				return fmt.Sprintf("inode %d: extent %+v outside the device", n.ino, e)
+			}
+			for b := e.DiskBlock; b < e.DiskBlock+e.Count; b++ {
+				if claimed[b] {
+					return fmt.Sprintf("inode %d: data block %d claimed twice", n.ino, b)
+				}
+				claimed[b] = true
+			}
+			mapped += e.Count
+		}
+		used += mapped
+		attr, _, err := m.Getattr(n.ino)
+		if err != nil {
+			return fmt.Sprintf("Getattr(%d): %v", n.ino, err)
+		}
+		if attr.Blocks != mapped {
+			return fmt.Sprintf("inode %d: Blocks = %d, its map covers %d", n.ino, attr.Blocks, mapped)
+		}
+		// Mapping metadata: each block once per file.
+		for j, s := range steps {
+			if s.Write {
+				return fmt.Sprintf("inode %d: Map returned a write %+v", n.ino, s)
+			}
+			if containsBlock(steps[:j], s.Block) {
+				continue
+			}
+			if s.Block < 0 || s.Block >= total {
+				return fmt.Sprintf("inode %d: mapping block %d outside the device", n.ino, s.Block)
+			}
+			if claimed[s.Block] {
+				return fmt.Sprintf("inode %d: mapping block %d also claimed elsewhere", n.ino, s.Block)
+			}
+			claimed[s.Block] = true
+			used++
+		}
+	}
+	if free := m.BlocksFree(); free > total-used {
+		return fmt.Sprintf("BlocksFree = %d, but %d of %d blocks are claimed", free, used, total)
+	}
+	return ""
+}
+
+func containsBlock(steps []fs.IOStep, b int64) bool {
+	for _, s := range steps {
+		if s.Block == b {
+			return true
+		}
+	}
+	return false
 }
