@@ -96,9 +96,6 @@ func (h *Hierarchy) demote(evicted []Evicted) []Evicted {
 // MarkDirty sets the dirty bit in L1 (dirty data lives only in L1).
 func (h *Hierarchy) MarkDirty(id PageID) bool { return h.L1.MarkDirty(id) }
 
-// Clean clears the dirty bit after write-back.
-func (h *Hierarchy) Clean(id PageID) { h.L1.Clean(id) }
-
 // Invalidate drops the page from every tier.
 func (h *Hierarchy) Invalidate(id PageID) {
 	h.L1.Invalidate(id)

@@ -147,10 +147,6 @@ func (h *HDD) Submit(at sim.Time, req Request) (sim.Time, error) {
 	return done, nil
 }
 
-// HeadLBA reports the current head position (for tests and layout
-// diagnostics).
-func (h *HDD) HeadLBA() int64 { return h.headLBA }
-
 var _ Device = (*HDD)(nil)
 
 // String describes the configuration.

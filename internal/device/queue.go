@@ -169,12 +169,6 @@ func NewQueue(dev Device, sched Scheduler, depth int, loop *sim.EventLoop) *Queu
 	return q
 }
 
-// Scheduler exposes the active policy.
-func (q *Queue) Scheduler() Scheduler { return q.sched }
-
-// Depth reports the reorder-window bound.
-func (q *Queue) Depth() int { return q.depth }
-
 // Width reports the service bound: how many requests may be in flight
 // at the device concurrently.
 func (q *Queue) Width() int { return q.width }

@@ -55,9 +55,6 @@ func (a *BitmapAlloc) Total() int64 { return a.total }
 // Groups reports the number of block groups.
 func (a *BitmapAlloc) Groups() int { return len(a.groupFree) }
 
-// GroupFree reports free blocks in group g.
-func (a *BitmapAlloc) GroupFree(g int) int64 { return a.groupFree[g] }
-
 // isFree reports whether block b is free.
 func (a *BitmapAlloc) isFree(b int64) bool {
 	return a.words[b>>6]&(1<<(uint(b)&63)) == 0

@@ -465,15 +465,3 @@ func TestExt2IndirectMetadataCharged(t *testing.T) {
 		t.Errorf("contiguous xfs map charged %d meta steps, want 0 (inline extents)", len(xsteps))
 	}
 }
-
-func TestExt2FragScore(t *testing.T) {
-	e2, _ := ext2sim.New(testBlocks)
-	if got := e2.FragScore(); got != 1 {
-		t.Fatalf("empty fs FragScore = %v, want 1", got)
-	}
-	ino, _, _ := e2.Create(e2.Root(), "a", fs.Regular, 0)
-	e2.Resize(ino, 4<<20, 0)
-	if got := e2.FragScore(); got < 1 {
-		t.Fatalf("FragScore = %v, want >= 1", got)
-	}
-}

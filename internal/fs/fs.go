@@ -114,14 +114,13 @@ func SyncWrite(block int64) IOStep { return IOStep{Write: true, Block: block, Sy
 
 // Errors shared by all file-system models.
 var (
-	ErrNotExist  = errors.New("fs: no such file or directory")
-	ErrExist     = errors.New("fs: file exists")
-	ErrNotDir    = errors.New("fs: not a directory")
-	ErrIsDir     = errors.New("fs: is a directory")
-	ErrNotEmpty  = errors.New("fs: directory not empty")
-	ErrNoSpace   = errors.New("fs: no space left on device")
-	ErrBadInode  = errors.New("fs: invalid inode")
-	ErrNameTaken = errors.New("fs: name already in use")
+	ErrNotExist = errors.New("fs: no such file or directory")
+	ErrExist    = errors.New("fs: file exists")
+	ErrNotDir   = errors.New("fs: not a directory")
+	ErrIsDir    = errors.New("fs: is a directory")
+	ErrNotEmpty = errors.New("fs: directory not empty")
+	ErrNoSpace  = errors.New("fs: no space left on device")
+	ErrBadInode = errors.New("fs: invalid inode")
 )
 
 // FileSystem is a simulated file system. Implementations are not safe

@@ -2,10 +2,6 @@ package fs
 
 import "repro/internal/sim"
 
-// inodesPerBlock is how many on-disk inodes share one block (4 KB /
-// 128-byte inode).
-const inodesPerBlock = 32
-
 // InodeTable manages inode attributes and their on-disk locations.
 // Inodes live in per-group tables (ext2/ext3) or per-AG clusters
 // (XFS); the layout function maps an inode number to the disk block

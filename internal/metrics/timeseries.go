@@ -150,11 +150,6 @@ type HistogramTimeline struct {
 	hists    []*Histogram
 }
 
-// NewHistogramTimeline returns a timeline with the given interval.
-func NewHistogramTimeline(interval sim.Time) *HistogramTimeline {
-	return NewHistogramTimelineOffset(interval, 0)
-}
-
 // NewHistogramTimelineOffset returns a timeline whose snapshot 0
 // starts at the given virtual time.
 func NewHistogramTimelineOffset(interval, start sim.Time) *HistogramTimeline {
@@ -209,15 +204,6 @@ func (tl *HistogramTimeline) Merge(other *HistogramTimeline) {
 	for i, h := range other.hists {
 		tl.hists[i].Merge(h)
 	}
-}
-
-// Merged returns the union of all snapshots.
-func (tl *HistogramTimeline) Merged() *Histogram {
-	out := &Histogram{}
-	for _, h := range tl.hists {
-		out.Merge(h)
-	}
-	return out
 }
 
 // Counter is a plain operation/error counter pair used by the

@@ -348,7 +348,7 @@ func layoutRandRead(stack core.StackConfig, seed uint64) (Score, error) {
 // layoutAged ages the file system with create/delete churn, then
 // measures cold sequential read of a file allocated into the aged
 // free space. The score is the aged bandwidth; Detail carries the
-// fragmentation ratio versus a fresh run.
+// device seeks the read took.
 func layoutAged(stack core.StackConfig, seed uint64) (Score, error) {
 	m, err := stack.Build(sim.NewRNG(seed))
 	if err != nil {

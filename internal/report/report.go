@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"repro/internal/metrics"
-	"repro/internal/stats"
 )
 
 // Table is a simple aligned-column text table.
@@ -231,16 +230,6 @@ func Histogram(w io.Writer, title string, h *metrics.Histogram) error {
 		}
 	}
 	return nil
-}
-
-// SummaryRow formats a stats.Summary as table cells: mean, RSD%, and
-// the 95% CI.
-func SummaryRow(s stats.Summary) []string {
-	return []string{
-		fmt.Sprintf("%.1f", s.Mean),
-		fmt.Sprintf("%.1f%%", s.RSD*100),
-		fmt.Sprintf("[%.1f, %.1f]", s.CI95Lo, s.CI95Hi),
-	}
 }
 
 // fmtNs renders nanoseconds with a human unit.

@@ -277,13 +277,10 @@ func (p *Proc) RunEvent() {
 }
 
 // Now reports the process's virtual time: the loop clock when it last
-// resumed or advanced, so it equals Loop().Now() whenever the process
-// runs. CPU-only run-ahead is the caller's to account (the workload
+// resumed or advanced, so it equals its event loop's Now whenever the
+// process runs. CPU-only run-ahead is the caller's to account (the workload
 // engine keeps a per-thread clock and realigns it with WaitUntil).
 func (p *Proc) Now() Time { return p.now }
-
-// Loop exposes the owning event loop.
-func (p *Proc) Loop() *EventLoop { return p.loop }
 
 // WaitUntil blocks the process until virtual time t and returns the
 // process's time afterwards. If t is not in the future the call

@@ -83,9 +83,6 @@ func (r *RNG) Split() *RNG {
 	return NewRNG(r.Uint64() ^ 0xd2b74407b1ce6e93)
 }
 
-// Int63 returns a non-negative 63-bit random integer.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Int63n returns a uniform random integer in [0, n). It panics if
 // n <= 0.
 func (r *RNG) Int63n(n int64) int64 {

@@ -77,29 +77,6 @@ func ChangePoint(xs []float64, minSeg int) (int, float64) {
 	return bestIdx, bestP
 }
 
-// ChangePoints recursively segments xs (binary segmentation),
-// returning the sorted change indices whose Welch p-value falls below
-// alpha. Segments shorter than 2*minSeg are not split further.
-func ChangePoints(xs []float64, minSeg int, alpha float64) []int {
-	var out []int
-	var rec func(lo, hi int)
-	rec = func(lo, hi int) {
-		if hi-lo < 2*minSeg {
-			return
-		}
-		idx, p := ChangePoint(xs[lo:hi], minSeg)
-		if idx == 0 || p >= alpha {
-			return
-		}
-		abs := lo + idx
-		rec(lo, abs)
-		out = append(out, abs)
-		rec(abs, hi)
-	}
-	rec(0, len(xs))
-	return out
-}
-
 // StationaryTail reports whether the tail of xs after MSER-5
 // truncation looks stationary: no further significant change point
 // and a small trend relative to the mean. It returns the truncation

@@ -73,16 +73,24 @@ func TestAdHocDominates(t *testing.T) {
 }
 
 func TestIsolatorsScarcity(t *testing.T) {
-	entries := Table1()
+	isolators := func(d core.Dimension) []string {
+		var out []string
+		for _, e := range Table1() {
+			if e.Kind == Tool && e.Dims[d] == core.Isolates {
+				out = append(out, e.Name)
+			}
+		}
+		return out
+	}
 	// The paper's point: no surveyed *tool* isolates on-disk, caching
 	// isolation is rare, and meta-data has no isolating tool at all.
-	if tools := IsolatorsFor(entries, core.DimOnDisk); len(tools) != 0 {
+	if tools := isolators(core.DimOnDisk); len(tools) != 0 {
 		t.Errorf("tools isolating on-disk: %v, want none", tools)
 	}
-	if tools := IsolatorsFor(entries, core.DimMetaData); len(tools) != 0 {
+	if tools := isolators(core.DimMetaData); len(tools) != 0 {
 		t.Errorf("tools isolating meta-data: %v, want none", tools)
 	}
-	if tools := IsolatorsFor(entries, core.DimIO); len(tools) == 0 {
+	if tools := isolators(core.DimIO); len(tools) == 0 {
 		t.Error("no tool isolates I/O; IOmeter should")
 	}
 }

@@ -218,9 +218,6 @@ func (m *Mount) DropCaches() {
 	}
 }
 
-// Readahead exposes the active readahead policy.
-func (m *Mount) Readahead() cache.Readahead { return m.ra }
-
 // --- Event mode ------------------------------------------------------
 
 // Submitter is where event-mode submissions go. *device.Queue

@@ -156,17 +156,6 @@ func (r Report) Regressions() []MetricReport {
 	return out
 }
 
-// Improvements lists the metrics that improved.
-func (r Report) Improvements() []MetricReport {
-	var out []MetricReport
-	for _, m := range r.Metrics {
-		if m.Verdict == Improved {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // String renders the whole report.
 func (r Report) String() string {
 	var sb strings.Builder

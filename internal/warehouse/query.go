@@ -8,7 +8,7 @@ import (
 
 // Set is an in-memory run-set: the query layer over loaded records.
 // Methods never mutate the receiver; chains like
-// set.Filter(f).ByName() operate on views.
+// set.Filter(f).ByFingerprint() operate on views.
 type Set []Record
 
 // Filter selects records by dimension. Zero-valued fields match
@@ -65,18 +65,6 @@ func (s Set) GroupBy(key func(Record) string) map[string]Set {
 // records in one group measured the same configuration.
 func (s Set) ByFingerprint() map[string]Set {
 	return s.GroupBy(func(r Record) string { return r.Fingerprint })
-}
-
-// ByName groups by experiment name.
-func (s Set) ByName() map[string]Set {
-	return s.GroupBy(func(r Record) string { return r.Name })
-}
-
-// SortByTime orders the set oldest-first (stable), returning it for
-// chaining.
-func (s Set) SortByTime() Set {
-	sort.SliceStable(s, func(i, j int) bool { return s[i].Time.Before(s[j].Time) })
-	return s
 }
 
 // Runs reports the total number of archived runs (not records).

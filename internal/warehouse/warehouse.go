@@ -268,9 +268,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir reports the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Close releases the append handle (appends reopen it on demand).
 func (s *Store) Close() error {
 	s.mu.Lock()
