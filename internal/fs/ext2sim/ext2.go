@@ -8,6 +8,10 @@
 // files costs indirect-block reads until those blocks are cached, and
 // namespace operations read and dirty directory, inode-table, and
 // bitmap blocks at their real relative locations.
+//
+// The namespace and inode operations are fs.Core's; this package
+// supplies the layout: inode placement, block allocation, indirect
+// blocks, and the inode-bitmap write.
 package ext2sim
 
 import (
@@ -15,7 +19,6 @@ import (
 	"sort"
 
 	"repro/internal/fs"
-	"repro/internal/sim"
 )
 
 // Geometry fixes the block-group layout.
@@ -38,11 +41,8 @@ const (
 
 // FS is the Ext2 model. Create instances with New.
 type FS struct {
+	*fs.Core[*file]
 	alloc *fs.BitmapAlloc
-	itab  *fs.InodeTable
-	ns    *fs.Namespace
-	files map[fs.Ino]*file
-	total int64
 }
 
 type file struct {
@@ -51,17 +51,16 @@ type file struct {
 	goal int64           // preferred next allocation block
 }
 
+// ExtentMap implements fs.Mapped.
+func (fl *file) ExtentMap() *fs.ExtentMap { return &fl.ext }
+
 // New formats an Ext2 model over totalBlocks file-system blocks.
 func New(totalBlocks int64) (*FS, error) {
 	if totalBlocks < 2*GroupBlocks {
 		return nil, fmt.Errorf("ext2sim: device too small (%d blocks, need >= %d)",
 			totalBlocks, 2*GroupBlocks)
 	}
-	f := &FS{
-		alloc: fs.NewBitmapAlloc(totalBlocks, GroupBlocks),
-		files: make(map[fs.Ino]*file),
-		total: totalBlocks,
-	}
+	f := &FS{alloc: fs.NewBitmapAlloc(totalBlocks, GroupBlocks)}
 	// Reserve per-group metadata regions.
 	for g := int64(0); g*GroupBlocks < totalBlocks; g++ {
 		start := g * GroupBlocks
@@ -71,19 +70,27 @@ func New(totalBlocks int64) (*FS, error) {
 		}
 		f.alloc.Reserve(start, n)
 	}
-	f.itab = fs.NewInodeTable(f.inodeBlock)
-	root := f.itab.Alloc(fs.Directory, 0)
-	f.ns = fs.NewNamespace(root.Ino)
-	f.files[root.Ino] = &file{meta: make(map[int64]int64), goal: int64(groupMetaBlocks)}
+	f.Core = fs.NewCore(totalBlocks, f.newFile(1), fs.Layout[*file]{
+		InodeBlock:  f.InodeBlock,
+		NewFile:     f.newFile,
+		Extend:      f.extend,
+		Shrink:      f.shrink,
+		InodeBitmap: f.inodeBitmapBlock,
+		Free:        f.alloc.Free,
+	})
 	return f, nil
 }
 
-// inodeBlock maps an inode number to the block of its on-disk record
+// group returns the block group holding ino's inode.
+func (f *FS) group(ino fs.Ino) int64 {
+	return (int64(ino-1) / InodesPerGroup) % (f.alloc.Total() / GroupBlocks)
+}
+
+// InodeBlock maps an inode number to the block of its on-disk record
 // within its group's inode table.
-func (f *FS) inodeBlock(ino fs.Ino) int64 {
+func (f *FS) InodeBlock(ino fs.Ino) int64 {
 	idx := int64(ino-1) % InodesPerGroup
-	group := (int64(ino-1) / InodesPerGroup) % (f.total / GroupBlocks)
-	return group*GroupBlocks + 4 + idx/32
+	return f.group(ino)*GroupBlocks + 4 + idx/32
 }
 
 // bitmapBlock returns the block-bitmap block of the group containing
@@ -91,133 +98,23 @@ func (f *FS) inodeBlock(ino fs.Ino) int64 {
 func (f *FS) bitmapBlock(b int64) int64 { return (b/GroupBlocks)*GroupBlocks + 2 }
 
 // inodeBitmapBlock returns the inode-bitmap block for ino's group.
-func (f *FS) inodeBitmapBlock(ino fs.Ino) int64 {
-	group := (int64(ino-1) / InodesPerGroup) % (f.total / GroupBlocks)
-	return group*GroupBlocks + 3
+func (f *FS) inodeBitmapBlock(ino fs.Ino) int64 { return f.group(ino)*GroupBlocks + 3 }
+
+// newFile starts a file's allocations at its inode's group data area.
+func (f *FS) newFile(ino fs.Ino) *file {
+	return &file{meta: make(map[int64]int64), goal: f.group(ino)*GroupBlocks + groupMetaBlocks}
 }
 
 // Name implements fs.FileSystem.
 func (f *FS) Name() string { return "ext2" }
 
-// BlocksTotal implements fs.FileSystem.
-func (f *FS) BlocksTotal() int64 { return f.total }
-
-// BlocksFree implements fs.FileSystem.
-func (f *FS) BlocksFree() int64 { return f.alloc.Free() }
-
-// Root implements fs.FileSystem.
-func (f *FS) Root() fs.Ino { return f.ns.Root() }
-
 // ReadaheadHint implements fs.FileSystem: Linux-era defaults, 16 KB
 // initial window growing to 128 KB.
 func (f *FS) ReadaheadHint() (int64, int64) { return 4, 32 }
 
-// Lookup implements fs.FileSystem.
-func (f *FS) Lookup(dir fs.Ino, name string) (fs.Ino, []fs.IOStep, error) {
-	ino, _, blockIdx, err := f.ns.Lookup(dir, name)
-	if err != nil {
-		return 0, nil, err
-	}
-	steps := f.dirBlockSteps(dir, blockIdx)
-	steps = append(steps, fs.Read(f.itab.Block(ino)))
-	return ino, steps, nil
-}
-
-// dirBlockSteps returns the read of the directory data block with the
-// given index, resolving it through the directory's own extent map.
-func (f *FS) dirBlockSteps(dir fs.Ino, blockIdx int64) []fs.IOStep {
-	df := f.files[dir]
-	if df == nil {
-		return nil
-	}
-	exts := df.ext.Slice(blockIdx, 1)
-	if len(exts) == 0 {
-		// Directory data not yet allocated (tiny dir stored inline).
-		return []fs.IOStep{fs.Read(f.itab.Block(dir))}
-	}
-	return []fs.IOStep{fs.Read(exts[0].DiskBlock)}
-}
-
-// Getattr implements fs.FileSystem.
-func (f *FS) Getattr(ino fs.Ino) (fs.Inode, []fs.IOStep, error) {
-	n, err := f.itab.Get(ino)
-	if err != nil {
-		return fs.Inode{}, nil, err
-	}
-	return *n, []fs.IOStep{fs.Read(f.itab.Block(ino))}, nil
-}
-
-// Create implements fs.FileSystem.
-func (f *FS) Create(dir fs.Ino, name string, ft fs.FileType, now sim.Time) (fs.Ino, []fs.IOStep, error) {
-	if _, err := f.itab.Get(dir); err != nil {
-		return 0, nil, err
-	}
-	// Reserve the inode first so the namespace and table stay
-	// consistent on failure.
-	node := f.itab.Alloc(ft, now)
-	blockIdx, err := f.ns.Insert(dir, name, node.Ino, ft)
-	if err != nil {
-		f.itab.Del(node.Ino)
-		return 0, nil, err
-	}
-	group := (int64(node.Ino-1) / InodesPerGroup) % (f.total / GroupBlocks)
-	f.files[node.Ino] = &file{
-		meta: make(map[int64]int64),
-		goal: group*GroupBlocks + groupMetaBlocks,
-	}
-	var steps []fs.IOStep
-	// Read-modify-write of the directory block holding the new entry.
-	steps = append(steps, f.dirBlockSteps(dir, blockIdx)...)
-	steps = append(steps,
-		fs.WriteStep(f.dirDataBlock(dir, blockIdx)),
-		fs.WriteStep(f.itab.Block(node.Ino)), // new inode record
-		fs.WriteStep(f.inodeBitmapBlock(node.Ino)),
-		fs.WriteStep(f.itab.Block(dir)), // parent mtime/size
-	)
-	// Growing the directory past a block boundary allocates a block.
-	if grow, err := f.growFile(dir, f.ns.Blocks(dir), now); err == nil {
-		steps = append(steps, grow...)
-	} else {
-		// Directory growth failure: undo everything.
-		f.ns.Remove(dir, name)
-		f.itab.Del(node.Ino)
-		delete(f.files, node.Ino)
-		return 0, nil, err
-	}
-	if p, err := f.itab.Get(dir); err == nil {
-		p.Mtime = now
-	}
-	return node.Ino, steps, nil
-}
-
-// dirDataBlock resolves a directory data block index to a disk block
-// for write charging, falling back to the inode block for inline
-// directories.
-func (f *FS) dirDataBlock(dir fs.Ino, blockIdx int64) int64 {
-	df := f.files[dir]
-	if df != nil {
-		if exts := df.ext.Slice(blockIdx, 1); len(exts) > 0 {
-			return exts[0].DiskBlock
-		}
-	}
-	return f.itab.Block(dir)
-}
-
-// growFile ensures ino has at least wantBlocks blocks, allocating the
-// difference. Used for directory growth; file growth goes through
-// Resize.
-func (f *FS) growFile(ino fs.Ino, wantBlocks int64, now sim.Time) ([]fs.IOStep, error) {
-	fl := f.files[ino]
-	have := fl.ext.Blocks()
-	if have >= wantBlocks {
-		return nil, nil
-	}
-	return f.extend(ino, fl, wantBlocks-have, now)
-}
-
 // extend allocates n more blocks for the file, returning the metadata
-// write steps (bitmaps, inode, new indirect blocks).
-func (f *FS) extend(ino fs.Ino, fl *file, n int64, now sim.Time) ([]fs.IOStep, error) {
+// write steps (bitmaps, new indirect blocks, inode).
+func (f *FS) extend(ino fs.Ino, fl *file, n int64) ([]fs.IOStep, error) {
 	runs, err := f.alloc.Alloc(n, fl.goal)
 	if err != nil {
 		return nil, err
@@ -248,11 +145,7 @@ func (f *FS) extend(ino fs.Ino, fl *file, n int64, now sim.Time) ([]fs.IOStep, e
 		return nil, err
 	}
 	steps = append(steps, metaSteps...)
-	steps = append(steps, fs.WriteStep(f.itab.Block(ino))) // size/blocks update
-	if node, err := f.itab.Get(ino); err == nil {
-		node.Blocks = fl.ext.Blocks()
-		node.Mtime = now
-	}
+	steps = append(steps, fs.WriteStep(f.InodeBlock(ino))) // size/blocks update
 	return steps, nil
 }
 
@@ -312,8 +205,8 @@ func (f *FS) ensureMeta(fl *file, oldBlocks, newBlocks int64) ([]fs.IOStep, erro
 
 // Map implements fs.FileSystem.
 func (f *FS) Map(ino fs.Ino, fileBlock, n int64) ([]fs.Extent, []fs.IOStep, error) {
-	fl := f.files[ino]
-	if fl == nil {
+	fl, ok := f.File(ino)
+	if !ok {
 		return nil, nil, fs.ErrBadInode
 	}
 	var steps []fs.IOStep
@@ -336,33 +229,6 @@ func (f *FS) Map(ino fs.Ino, fileBlock, n int64) ([]fs.Extent, []fs.IOStep, erro
 		}
 	}
 	return fl.ext.Slice(fileBlock, n), steps, nil
-}
-
-// Resize implements fs.FileSystem.
-func (f *FS) Resize(ino fs.Ino, size int64, now sim.Time) ([]fs.IOStep, error) {
-	node, err := f.itab.Get(ino)
-	if err != nil {
-		return nil, err
-	}
-	if node.Type == fs.Directory {
-		return nil, fs.ErrIsDir
-	}
-	fl := f.files[ino]
-	wantBlocks := (size + fs.BlockSize - 1) / fs.BlockSize
-	var steps []fs.IOStep
-	switch {
-	case wantBlocks > fl.ext.Blocks():
-		steps, err = f.extend(ino, fl, wantBlocks-fl.ext.Blocks(), now)
-		if err != nil {
-			return nil, err
-		}
-	case wantBlocks < fl.ext.Blocks():
-		steps = f.shrink(ino, fl, wantBlocks)
-	}
-	node.Size = size
-	node.Blocks = fl.ext.Blocks()
-	node.Mtime = now
-	return steps, nil
 }
 
 // shrink frees blocks beyond wantBlocks and any indirect blocks no
@@ -408,81 +274,23 @@ func (f *FS) shrink(ino fs.Ino, fl *file, wantBlocks int64) []fs.IOStep {
 		delete(fl.meta, key)
 		steps = append(steps, fs.WriteStep(f.bitmapBlock(blk)))
 	}
-	steps = append(steps, fs.WriteStep(f.itab.Block(ino)))
+	steps = append(steps, fs.WriteStep(f.InodeBlock(ino)))
 	return steps
-}
-
-// Remove implements fs.FileSystem.
-func (f *FS) Remove(dir fs.Ino, name string, now sim.Time) ([]fs.IOStep, error) {
-	ino, _, blockIdx, err := f.ns.Remove(dir, name)
-	if err != nil {
-		return nil, err
-	}
-	var steps []fs.IOStep
-	steps = append(steps, f.dirBlockSteps(dir, blockIdx)...)
-	steps = append(steps,
-		fs.WriteStep(f.dirDataBlock(dir, blockIdx)),
-		fs.WriteStep(f.itab.Block(dir)),
-		fs.WriteStep(f.inodeBitmapBlock(ino)),
-		fs.WriteStep(f.itab.Block(ino)),
-	)
-	// Free data and meta blocks.
-	if fl := f.files[ino]; fl != nil {
-		steps = append(steps, f.shrink(ino, fl, 0)...)
-		delete(f.files, ino)
-	}
-	f.itab.Del(ino)
-	if p, err := f.itab.Get(dir); err == nil {
-		p.Mtime = now
-	}
-	return steps, nil
-}
-
-// ReadDir implements fs.FileSystem.
-func (f *FS) ReadDir(dir fs.Ino) ([]fs.DirEntry, []fs.IOStep, error) {
-	list, err := f.ns.List(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Scan every directory data block.
-	var steps []fs.IOStep
-	steps = append(steps, fs.Read(f.itab.Block(dir)))
-	nblocks := f.ns.Blocks(dir)
-	if df := f.files[dir]; df != nil {
-		for _, e := range df.ext.Slice(0, nblocks) {
-			for b := e.DiskBlock; b < e.DiskBlock+e.Count; b++ {
-				steps = append(steps, fs.Read(b))
-			}
-		}
-	}
-	return list, steps, nil
 }
 
 // Fsync implements fs.FileSystem: without a journal, fsync writes the
 // inode (and lets the data flush, which the VFS handles) — cheap but
 // unsafe, the classic ext2 trade.
 func (f *FS) Fsync(ino fs.Ino) ([]fs.IOStep, error) {
-	if _, err := f.itab.Get(ino); err != nil {
-		return nil, err
+	if _, ok := f.File(ino); !ok {
+		return nil, fs.ErrBadInode
 	}
-	return []fs.IOStep{fs.SyncWrite(f.itab.Block(ino))}, nil
-}
-
-// TouchAtime implements fs.FileSystem: ext2 just dirties the inode
-// block in cache; write-back flushes it eventually.
-func (f *FS) TouchAtime(ino fs.Ino, now sim.Time) []fs.IOStep {
-	if _, err := f.itab.Get(ino); err != nil {
-		return nil
-	}
-	return []fs.IOStep{fs.WriteStep(f.itab.Block(ino))}
+	return []fs.IOStep{fs.SyncWrite(f.InodeBlock(ino))}, nil
 }
 
 // ReserveRange removes [start, start+count) from the data area; the
 // journaled variant (ext3sim) uses it to carve out its journal file.
 // The range must be free.
 func (f *FS) ReserveRange(start, count int64) { f.alloc.Reserve(start, count) }
-
-// InodeBlock exposes inode placement to wrapping models.
-func (f *FS) InodeBlock(ino fs.Ino) int64 { return f.itab.Block(ino) }
 
 var _ fs.FileSystem = (*FS)(nil)

@@ -7,6 +7,11 @@
 // random reads within a file seek over a tighter span and mapping
 // needs little or no metadata I/O), and the readahead hint is wider.
 // Both make XFS warm the page cache differently in Figure 2.
+//
+// The namespace and inode operations are fs.Core's; this package
+// supplies the layout and wraps Create, Resize and Remove with the
+// delayed log. Atime updates only dirty the inode for write-back, with
+// no log traffic: the cheapest of the three models.
 package xfssim
 
 import (
@@ -34,12 +39,9 @@ const (
 
 // FS is the XFS model.
 type FS struct {
+	*fs.Core[*file]
 	alloc   *fs.ExtentAlloc
-	itab    *fs.InodeTable
-	ns      *fs.Namespace
-	files   map[fs.Ino]*file
 	journal *fs.Journal
-	total   int64
 	agCount int64
 	agSize  int64
 
@@ -54,6 +56,9 @@ type file struct {
 	btree []int64
 }
 
+// ExtentMap implements fs.Mapped.
+func (fl *file) ExtentMap() *fs.ExtentMap { return &fl.ext }
+
 // New formats an XFS model over totalBlocks blocks with agCount
 // allocation groups (0 picks a default of 4).
 func New(totalBlocks int64, agCount int64) (*FS, error) {
@@ -65,8 +70,6 @@ func New(totalBlocks int64, agCount int64) (*FS, error) {
 	}
 	f := &FS{
 		alloc:   fs.NewExtentAlloc(totalBlocks),
-		files:   make(map[fs.Ino]*file),
-		total:   totalBlocks,
 		agCount: agCount,
 		agSize:  totalBlocks / agCount,
 	}
@@ -77,10 +80,14 @@ func New(totalBlocks int64, agCount int64) (*FS, error) {
 	logStart := f.agSize / 2
 	f.alloc.Reserve(logStart, LogBlocks)
 	f.journal = fs.NewJournal(logStart, LogBlocks)
-	f.itab = fs.NewInodeTable(f.inodeBlock)
-	root := f.itab.Alloc(fs.Directory, 0)
-	f.ns = fs.NewNamespace(root.Ino)
-	f.files[root.Ino] = &file{ag: 0}
+	// The root directory lives in AG 0, whatever agOf says of inode 1.
+	f.Core = fs.NewCore(totalBlocks, &file{ag: 0}, fs.Layout[*file]{
+		InodeBlock: f.inodeBlock,
+		NewFile:    f.newFile,
+		Extend:     f.extend,
+		Shrink:     f.shrink,
+		Free:       f.alloc.Free,
+	})
 	return f, nil
 }
 
@@ -95,61 +102,15 @@ func (f *FS) inodeBlock(ino fs.Ino) int64 {
 	return ag*f.agSize + agHeaderBlocks + idx/32
 }
 
+// newFile homes a file in its inode's allocation group.
+func (f *FS) newFile(ino fs.Ino) *file { return &file{ag: f.agOf(ino)} }
+
 // Name implements fs.FileSystem.
 func (f *FS) Name() string { return "xfs" }
-
-// BlocksTotal implements fs.FileSystem.
-func (f *FS) BlocksTotal() int64 { return f.total }
-
-// BlocksFree implements fs.FileSystem.
-func (f *FS) BlocksFree() int64 { return f.alloc.Free() }
-
-// Root implements fs.FileSystem.
-func (f *FS) Root() fs.Ino { return f.ns.Root() }
 
 // ReadaheadHint implements fs.FileSystem: XFS ships a wider window
 // (64 KB initial, 256 KB max).
 func (f *FS) ReadaheadHint() (int64, int64) { return 16, 64 }
-
-// Lookup implements fs.FileSystem.
-func (f *FS) Lookup(dir fs.Ino, name string) (fs.Ino, []fs.IOStep, error) {
-	ino, _, blockIdx, err := f.ns.Lookup(dir, name)
-	if err != nil {
-		return 0, nil, err
-	}
-	steps := f.dirBlockSteps(dir, blockIdx)
-	steps = append(steps, fs.Read(f.itab.Block(ino)))
-	return ino, steps, nil
-}
-
-func (f *FS) dirBlockSteps(dir fs.Ino, blockIdx int64) []fs.IOStep {
-	df := f.files[dir]
-	if df == nil {
-		return nil
-	}
-	if exts := df.ext.Slice(blockIdx, 1); len(exts) > 0 {
-		return []fs.IOStep{fs.Read(exts[0].DiskBlock)}
-	}
-	return []fs.IOStep{fs.Read(f.itab.Block(dir))}
-}
-
-func (f *FS) dirDataBlock(dir fs.Ino, blockIdx int64) int64 {
-	if df := f.files[dir]; df != nil {
-		if exts := df.ext.Slice(blockIdx, 1); len(exts) > 0 {
-			return exts[0].DiskBlock
-		}
-	}
-	return f.itab.Block(dir)
-}
-
-// Getattr implements fs.FileSystem.
-func (f *FS) Getattr(ino fs.Ino) (fs.Inode, []fs.IOStep, error) {
-	n, err := f.itab.Get(ino)
-	if err != nil {
-		return fs.Inode{}, nil, err
-	}
-	return *n, []fs.IOStep{fs.Read(f.itab.Block(ino))}, nil
-}
 
 // logOp batches metadata operations into delayed-logging records.
 func (f *FS) logOp(steps []fs.IOStep) []fs.IOStep {
@@ -162,50 +123,37 @@ func (f *FS) logOp(steps []fs.IOStep) []fs.IOStep {
 	return steps
 }
 
-// Create implements fs.FileSystem.
+// Create implements fs.FileSystem: the core's create, then its share
+// of a delayed-logging record.
 func (f *FS) Create(dir fs.Ino, name string, ft fs.FileType, now sim.Time) (fs.Ino, []fs.IOStep, error) {
-	if _, err := f.itab.Get(dir); err != nil {
-		return 0, nil, err
-	}
-	node := f.itab.Alloc(ft, now)
-	blockIdx, err := f.ns.Insert(dir, name, node.Ino, ft)
+	ino, steps, err := f.Core.Create(dir, name, ft, now)
 	if err != nil {
-		f.itab.Del(node.Ino)
 		return 0, nil, err
 	}
-	f.files[node.Ino] = &file{ag: f.agOf(node.Ino)}
-	var steps []fs.IOStep
-	steps = append(steps, f.dirBlockSteps(dir, blockIdx)...)
-	steps = append(steps,
-		fs.WriteStep(f.dirDataBlock(dir, blockIdx)),
-		fs.WriteStep(f.itab.Block(node.Ino)),
-		fs.WriteStep(f.itab.Block(dir)),
-	)
-	if grow, err := f.growFile(dir, f.ns.Blocks(dir), now); err == nil {
-		steps = append(steps, grow...)
-	} else {
-		f.ns.Remove(dir, name)
-		f.itab.Del(node.Ino)
-		delete(f.files, node.Ino)
-		return 0, nil, err
-	}
-	if p, err := f.itab.Get(dir); err == nil {
-		p.Mtime = now
-	}
-	return node.Ino, f.logOp(steps), nil
+	return ino, f.logOp(steps), nil
 }
 
-func (f *FS) growFile(ino fs.Ino, wantBlocks int64, now sim.Time) ([]fs.IOStep, error) {
-	fl := f.files[ino]
-	if fl.ext.Blocks() >= wantBlocks {
-		return nil, nil
+// Resize implements fs.FileSystem, logged like Create.
+func (f *FS) Resize(ino fs.Ino, size int64, now sim.Time) ([]fs.IOStep, error) {
+	steps, err := f.Core.Resize(ino, size, now)
+	if err != nil {
+		return nil, err
 	}
-	return f.extend(ino, fl, wantBlocks-fl.ext.Blocks(), now)
+	return f.logOp(steps), nil
+}
+
+// Remove implements fs.FileSystem, logged like Create.
+func (f *FS) Remove(dir fs.Ino, name string, now sim.Time) ([]fs.IOStep, error) {
+	steps, err := f.Core.Remove(dir, name, now)
+	if err != nil {
+		return nil, err
+	}
+	return f.logOp(steps), nil
 }
 
 // extend allocates n blocks with the AG start as goal (or just past
 // the file's current tail for contiguous growth).
-func (f *FS) extend(ino fs.Ino, fl *file, n int64, now sim.Time) ([]fs.IOStep, error) {
+func (f *FS) extend(ino fs.Ino, fl *file, n int64) ([]fs.IOStep, error) {
 	goal := fl.ag*f.agSize + agHeaderBlocks
 	if exts := fl.ext.All(); len(exts) > 0 {
 		last := exts[len(exts)-1]
@@ -218,13 +166,9 @@ func (f *FS) extend(ino fs.Ino, fl *file, n int64, now sim.Time) ([]fs.IOStep, e
 	fl.ext.Append(runs)
 	steps := []fs.IOStep{
 		fs.WriteStep(fl.ag*f.agSize + 1), // AGF (free-space header)
-		fs.WriteStep(f.itab.Block(ino)),
+		fs.WriteStep(f.inodeBlock(ino)),
 	}
 	steps = append(steps, f.ensureBtree(fl)...)
-	if node, err := f.itab.Get(ino); err == nil {
-		node.Blocks = fl.ext.Blocks()
-		node.Mtime = now
-	}
 	return steps, nil
 }
 
@@ -253,8 +197,8 @@ func (f *FS) ensureBtree(fl *file) []fs.IOStep {
 // beyond the (cached) inode; spilled maps cost the root plus the leaf
 // covering the requested range.
 func (f *FS) Map(ino fs.Ino, fileBlock, n int64) ([]fs.Extent, []fs.IOStep, error) {
-	fl := f.files[ino]
-	if fl == nil {
+	fl, ok := f.File(ino)
+	if !ok {
 		return nil, nil, fs.ErrBadInode
 	}
 	var steps []fs.IOStep
@@ -276,33 +220,8 @@ func (f *FS) Map(ino fs.Ino, fileBlock, n int64) ([]fs.Extent, []fs.IOStep, erro
 	return fl.ext.Slice(fileBlock, n), steps, nil
 }
 
-// Resize implements fs.FileSystem.
-func (f *FS) Resize(ino fs.Ino, size int64, now sim.Time) ([]fs.IOStep, error) {
-	node, err := f.itab.Get(ino)
-	if err != nil {
-		return nil, err
-	}
-	if node.Type == fs.Directory {
-		return nil, fs.ErrIsDir
-	}
-	fl := f.files[ino]
-	wantBlocks := (size + fs.BlockSize - 1) / fs.BlockSize
-	var steps []fs.IOStep
-	switch {
-	case wantBlocks > fl.ext.Blocks():
-		steps, err = f.extend(ino, fl, wantBlocks-fl.ext.Blocks(), now)
-		if err != nil {
-			return nil, err
-		}
-	case wantBlocks < fl.ext.Blocks():
-		steps = f.shrink(ino, fl, wantBlocks)
-	}
-	node.Size = size
-	node.Blocks = fl.ext.Blocks()
-	node.Mtime = now
-	return f.logOp(steps), nil
-}
-
+// shrink frees blocks beyond wantBlocks and any mapping-tree blocks
+// no longer needed.
 func (f *FS) shrink(ino fs.Ino, fl *file, wantBlocks int64) []fs.IOStep {
 	freed := fl.ext.TruncateTo(wantBlocks)
 	for _, r := range freed {
@@ -310,7 +229,7 @@ func (f *FS) shrink(ino fs.Ino, fl *file, wantBlocks int64) []fs.IOStep {
 	}
 	steps := []fs.IOStep{
 		fs.WriteStep(fl.ag*f.agSize + 1),
-		fs.WriteStep(f.itab.Block(ino)),
+		fs.WriteStep(f.inodeBlock(ino)),
 	}
 	// Drop now-unneeded btree blocks.
 	nExt := fl.ext.Extents()
@@ -326,66 +245,15 @@ func (f *FS) shrink(ino fs.Ino, fl *file, wantBlocks int64) []fs.IOStep {
 	return steps
 }
 
-// Remove implements fs.FileSystem.
-func (f *FS) Remove(dir fs.Ino, name string, now sim.Time) ([]fs.IOStep, error) {
-	ino, _, blockIdx, err := f.ns.Remove(dir, name)
-	if err != nil {
-		return nil, err
-	}
-	var steps []fs.IOStep
-	steps = append(steps, f.dirBlockSteps(dir, blockIdx)...)
-	steps = append(steps,
-		fs.WriteStep(f.dirDataBlock(dir, blockIdx)),
-		fs.WriteStep(f.itab.Block(dir)),
-		fs.WriteStep(f.itab.Block(ino)),
-	)
-	if fl := f.files[ino]; fl != nil {
-		steps = append(steps, f.shrink(ino, fl, 0)...)
-		delete(f.files, ino)
-	}
-	f.itab.Del(ino)
-	if p, err := f.itab.Get(dir); err == nil {
-		p.Mtime = now
-	}
-	return f.logOp(steps), nil
-}
-
-// ReadDir implements fs.FileSystem.
-func (f *FS) ReadDir(dir fs.Ino) ([]fs.DirEntry, []fs.IOStep, error) {
-	list, err := f.ns.List(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	steps := []fs.IOStep{fs.Read(f.itab.Block(dir))}
-	if df := f.files[dir]; df != nil {
-		for _, e := range df.ext.Slice(0, f.ns.Blocks(dir)) {
-			for b := e.DiskBlock; b < e.DiskBlock+e.Count; b++ {
-				steps = append(steps, fs.Read(b))
-			}
-		}
-	}
-	return list, steps, nil
-}
-
 // Fsync implements fs.FileSystem: force the log.
 func (f *FS) Fsync(ino fs.Ino) ([]fs.IOStep, error) {
-	if _, err := f.itab.Get(ino); err != nil {
-		return nil, err
+	if _, ok := f.File(ino); !ok {
+		return nil, fs.ErrBadInode
 	}
 	f.pendingLog = 0
 	steps := f.journal.Append(1)
 	steps = append(steps, f.journal.Commit()...)
 	return steps, nil
-}
-
-// TouchAtime implements fs.FileSystem: XFS keeps atime in core and
-// flushes it lazily with ordinary write-back — no log traffic, the
-// cheapest of the three models.
-func (f *FS) TouchAtime(ino fs.Ino, now sim.Time) []fs.IOStep {
-	if _, err := f.itab.Get(ino); err != nil {
-		return nil
-	}
-	return []fs.IOStep{fs.WriteStep(f.itab.Block(ino))}
 }
 
 var _ fs.FileSystem = (*FS)(nil)

@@ -74,7 +74,7 @@ func TestBtreeSpill(t *testing.T) {
 	if _, err := f.Resize(ino, 40<<20, 0); err != nil {
 		t.Fatal(err)
 	}
-	fl := f.files[ino]
+	fl, _ := f.File(ino)
 	if fl.ext.Extents() > inlineExtents && len(fl.btree) == 0 {
 		t.Errorf("%d extents but no btree blocks", fl.ext.Extents())
 	}
@@ -97,7 +97,8 @@ func TestLogPlacementReserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	logStart := f.agSize / 2
-	exts, _, _ := f.Map(ino, 0, f.files[ino].ext.Blocks())
+	fl, _ := f.File(ino)
+	exts, _, _ := f.Map(ino, 0, fl.ext.Blocks())
 	for _, e := range exts {
 		if e.DiskBlock < logStart+LogBlocks && e.DiskBlock+e.Count > logStart {
 			t.Fatalf("extent %+v overlaps the log [%d, %d)", e, logStart, logStart+LogBlocks)
