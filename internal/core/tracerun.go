@@ -27,8 +27,6 @@ type TraceReplay struct {
 	Scale float64
 	// Name labels results and warehouse records (e.g. the trace file).
 	Name string
-	// MaxOpenFDs caps open descriptors per replay stream (0 = 256).
-	MaxOpenFDs int
 
 	// resolved caches the pre-scan (digest, streams, span) so the
 	// sources are read once per experiment, not once per fingerprint
@@ -138,9 +136,8 @@ func (t *TraceReplay) defaultDuration() sim.Time {
 // engineConfig builds the per-run replay engine configuration.
 func (t *TraceReplay) engineConfig() trace.EngineConfig {
 	return trace.EngineConfig{
-		Mode:       t.Mode,
-		Scale:      t.Scale,
-		Tenants:    t.Tenants,
-		MaxOpenFDs: t.MaxOpenFDs,
+		Mode:    t.Mode,
+		Scale:   t.Scale,
+		Tenants: t.Tenants,
 	}
 }

@@ -64,10 +64,12 @@ func ParseReplayMode(s string) (ReplayMode, error) {
 	return 0, fmt.Errorf("trace: unknown replay mode %q (want timed, afap, or scaled)", s)
 }
 
-// maxOpenFDsDefault caps each stream's open file descriptors like a
-// real process's rlimit; the least recently opened handle is closed
-// when the table is full.
-const maxOpenFDsDefault = 256
+// maxOpenFDs caps each stream's open file descriptors like a real
+// process's rlimit; the least recently opened handle is closed when
+// the table is full. The cap decides which opens a replay performs,
+// so it is fixed: a per-replay setting would have to join the
+// warehouse fingerprint.
+const maxOpenFDs = 256
 
 // EngineConfig describes one replay.
 type EngineConfig struct {
@@ -81,8 +83,6 @@ type EngineConfig struct {
 	// turns any captured trace into a fairness/contention scenario.
 	// One tenant replays the trace as captured.
 	Tenants []Source
-	// MaxOpenFDs caps open descriptors per stream (0 = 256).
-	MaxOpenFDs int
 }
 
 // scale returns the effective time-compression factor.
@@ -149,9 +149,6 @@ type Engine struct {
 func NewEngine(m *vfs.Mount, cfg EngineConfig) (*Engine, error) {
 	if len(cfg.Tenants) == 0 {
 		return nil, errors.New("trace: replay needs at least one tenant source")
-	}
-	if cfg.MaxOpenFDs <= 0 {
-		cfg.MaxOpenFDs = maxOpenFDsDefault
 	}
 	e := &Engine{m: m, cfg: cfg}
 	owner := 0
@@ -500,7 +497,7 @@ func (e *Engine) mkdirAll(at sim.Time, path string) sim.Time {
 func (e *Engine) trackFD(st *stream, path string, fd *vfs.FD) {
 	st.fds[path] = fd
 	st.fdOrder = append(st.fdOrder, path)
-	if len(st.fdOrder) > e.cfg.MaxOpenFDs {
+	if len(st.fdOrder) > maxOpenFDs {
 		victim := st.fdOrder[0]
 		st.fdOrder = st.fdOrder[1:]
 		if vfd, ok := st.fds[victim]; ok {

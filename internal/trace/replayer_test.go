@@ -90,22 +90,22 @@ func TestEngineDeterministic(t *testing.T) {
 }
 
 // TestReplayFDCap bounds the per-stream descriptor table the way a
-// process rlimit would: touching many more files than the cap must
-// leave at most MaxOpenFDs handles open.
+// process rlimit would: touching more files than the cap leaves
+// exactly maxOpenFDs handles open.
 func TestReplayFDCap(t *testing.T) {
 	tr := &Trace{}
-	for i := 0; i < 32; i++ {
+	for i := 0; i < maxOpenFDs+44; i++ {
 		tr.Records = append(tr.Records, Record{
 			At: sim.Time(i) * 1000, Kind: workload.OpOpen,
-			Path: "/f" + string(rune('a'+i%26)) + string(rune('a'+i/26)),
+			Path: fmt.Sprintf("/f%03d", i),
 		})
 	}
 	eng := runEngine(t, EngineConfig{
-		Mode: Timed, Tenants: []Source{MemorySource(tr)}, MaxOpenFDs: 4,
+		Mode: Timed, Tenants: []Source{MemorySource(tr)},
 	}, sim.Time(3600)*sim.Second).eng
 	st := eng.tenants[0].streams[0]
-	if len(st.fds) > 4 {
-		t.Errorf("stream holds %d open FDs, cap is 4", len(st.fds))
+	if len(st.fds) != maxOpenFDs {
+		t.Errorf("stream holds %d open FDs, want the cap, %d", len(st.fds), maxOpenFDs)
 	}
 	if len(st.fds) != len(st.fdOrder) {
 		t.Errorf("fd map (%d) and order (%d) out of sync", len(st.fds), len(st.fdOrder))
