@@ -232,19 +232,25 @@ func (l *EventLoop) down(i int) {
 type Proc struct {
 	loop *EventLoop
 	now  Time
-	wake chan Time     // loop -> proc: resume, carrying the current time
-	park chan struct{} // proc -> loop: parked or finished
+	// baton carries control both ways, unbuffered: the resumer sends
+	// the current time, and the process sends a zero back when it
+	// parks or finishes. Under the one-baton rule the two directions
+	// strictly alternate, so one channel serves both.
+	baton chan Time
 }
 
 // Go spawns a process that begins executing body at virtual time
-// start. The body runs on its own goroutine but only while it holds
-// the baton; it must interact with virtual time exclusively through
-// its Proc. The goroutine comes from a bounded pool: a 100k-thread
-// workload run R times creates each worker stack once, not R times.
+// start. The body runs on a goroutine of its own, which ends when the
+// body returns, but only while it holds the baton; it must interact
+// with virtual time exclusively through its Proc.
 func (l *EventLoop) Go(start Time, body func(p *Proc)) *Proc {
-	p := &Proc{loop: l, wake: make(chan Time), park: make(chan struct{})}
+	p := &Proc{loop: l, baton: make(chan Time)}
 	l.counters.Spawned++
-	spawnProc(p, body)
+	go func() {
+		p.now = <-p.baton
+		body(p)
+		p.baton <- 0
+	}()
 	l.ScheduleTarget(start, p)
 	return p
 }
@@ -254,8 +260,8 @@ func (l *EventLoop) Go(start Time, body func(p *Proc)) *Proc {
 // in a process that unparks another.
 func (p *Proc) resume() {
 	p.loop.counters.Resumes++
-	p.wake <- p.loop.Now()
-	<-p.park
+	p.baton <- p.loop.Now()
+	<-p.baton
 }
 
 // RunEvent implements EventTarget: a scheduled Proc resumes. This is
@@ -313,9 +319,7 @@ func (p *Proc) WaitUntil(t Time) Time {
 		return t
 	}
 	l.ScheduleTarget(t, p)
-	p.park <- struct{}{}
-	p.now = <-p.wake
-	return p.now
+	return p.Park()
 }
 
 // Sleep waits for d of virtual time, as WaitUntil(Now()+d).
@@ -325,8 +329,8 @@ func (p *Proc) Sleep(d Time) Time { return p.WaitUntil(p.now + d) }
 // virtual time at which the process was woken. The caller must have
 // arranged a wake-up first, or the process sleeps forever.
 func (p *Proc) Park() Time {
-	p.park <- struct{}{}
-	p.now = <-p.wake
+	p.baton <- 0
+	p.now = <-p.baton
 	return p.now
 }
 

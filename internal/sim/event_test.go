@@ -2,8 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestEventLoopOrdersByTime(t *testing.T) {
@@ -154,6 +156,27 @@ func TestProcRunsAheadLocally(t *testing.T) {
 	l.Run()
 	if yields != 1 {
 		t.Fatal("proc body did not complete")
+	}
+}
+
+// TestProcGoroutinesExit checks that a process's goroutine ends with
+// its body: once a loop has run 1,000 processes dry, the goroutine
+// count falls back to where it started. A goroutine ends just after
+// its last baton send, so the test polls the count against a deadline
+// rather than sampling it once.
+func TestProcGoroutinesExit(t *testing.T) {
+	before := runtime.NumGoroutine()
+	l := NewEventLoop(0)
+	for i := range 1000 {
+		l.Go(Time(i%7), func(p *Proc) { p.Sleep(1) })
+	}
+	l.Run()
+	deadline := time.Now().Add(10 * time.Second)
+	for n := runtime.NumGoroutine(); n > before; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines live after the loop ran dry, %d before it", n, before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -387,7 +410,7 @@ func BenchmarkScheduleAlloc(b *testing.B) {
 	b.Run("closure", func(b *testing.B) {
 		l := NewEventLoop(0)
 		l.Reserve(16)
-		p := &Proc{loop: l, wake: make(chan Time), park: make(chan struct{})}
+		p := &Proc{loop: l, baton: make(chan Time)}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			// The pre-fix form: a method-value closure per schedule.
@@ -400,7 +423,7 @@ func BenchmarkScheduleAlloc(b *testing.B) {
 	b.Run("target", func(b *testing.B) {
 		l := NewEventLoop(0)
 		l.Reserve(16)
-		p := &Proc{loop: l, wake: make(chan Time), park: make(chan struct{})}
+		p := &Proc{loop: l, baton: make(chan Time)}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			l.ScheduleTarget(l.Now()+1, p)

@@ -135,28 +135,3 @@ func TestShardedLoopSingleShard(t *testing.T) {
 		t.Fatalf("got %v want %v", got, want)
 	}
 }
-
-func TestProcPoolReuse(t *testing.T) {
-	l := NewEventLoop(0)
-	for i := 0; i < 32; i++ {
-		l.Go(0, func(p *Proc) { p.Sleep(1) })
-	}
-	l.Run()
-	if pooledProcs() == 0 {
-		t.Fatal("no workers returned to the pool")
-	}
-	// A second wave must drain from the pool and still run correctly.
-	before := pooledProcs()
-	l2 := NewEventLoop(0)
-	n := 0
-	for i := 0; i < 32; i++ {
-		l2.Go(0, func(p *Proc) { p.Sleep(1); n++ })
-	}
-	l2.Run()
-	if n != 32 {
-		t.Fatalf("second wave ran %d of 32 bodies", n)
-	}
-	if pooledProcs() < before {
-		t.Fatalf("pool shrank: %d -> %d", before, pooledProcs())
-	}
-}
