@@ -179,9 +179,10 @@ func (m *Mount) Read(at sim.Time, fd *FD, offset, size int64) (int64, sim.Time, 
 	}
 	m.stats.BytesRead += size
 	if m.sub == nil {
-		// Immediate mode: inline flush. Event mode leaves flushing to
-		// the daemon — read paths are never throttled on dirty state.
-		m.maybeWriteback(now)
+		// Immediate mode: background write-back. Event mode leaves
+		// flushing to the daemon — read paths are never throttled on
+		// dirty state.
+		m.immediateWriteback(now)
 	}
 	return size, now, nil
 }
@@ -317,7 +318,7 @@ func (m *Mount) Fsync(at sim.Time, fd *FD) (sim.Time, error) {
 	m.stats.Fsyncs++
 	now := at + m.cfg.SyscallOverhead
 	now = m.waitWriteback(now)
-	now, err := m.flushSync(now, m.PC.L1.CollectDirtyFile(nil, uint64(fd.Ino)))
+	now, _, err := m.flushSync(now, m.PC.L1.CollectDirtyFile(nil, uint64(fd.Ino)))
 	if err != nil {
 		return now, err
 	}

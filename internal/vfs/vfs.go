@@ -10,10 +10,11 @@
 // same cache) and read the device. Writes dirty cache pages; in
 // event-driven runs a pdflush-style daemon process ages them out
 // under its own requester identity while dirty throttling parks
-// writers at the high-water mark, and in immediate mode an inline
-// flusher issues elevator-sorted batches — either way deferred writes
-// keep the device busy, delaying subsequent misses, exactly the
-// coupling that makes "simple" benchmarks fragile.
+// writers at the high-water mark, and in immediate mode the op that
+// crosses the background threshold sends the oldest-dirtied batch
+// through the sync flush path — either way deferred writes keep the
+// device busy, delaying subsequent misses, exactly the coupling that
+// makes "simple" benchmarks fragile.
 package vfs
 
 import (
@@ -41,8 +42,8 @@ type Config struct {
 	// from the flash tier.
 	L2HitPerPage sim.Time
 	// DirtyRatio triggers write-back when dirty pages exceed this
-	// fraction of L1 capacity (the background threshold: the inline
-	// flusher in immediate mode, the daemon in event mode).
+	// fraction of L1 capacity (the background threshold: an op's
+	// write-back batch in immediate mode, the daemon in event mode).
 	DirtyRatio float64
 	// DirtyHighRatio is the dirty-throttling high-water mark for
 	// event-driven runs: a write-path operation parks its process while
@@ -314,15 +315,17 @@ func (m *Mount) flusherRound(now sim.Time) {
 	if l1.Capacity() == 0 {
 		return
 	}
-	threshold := int(m.cfg.DirtyRatio * float64(l1.Capacity()))
-	if threshold < 1 {
-		threshold = 1
-	}
+	threshold := m.dirtyThreshold()
 	for l1.DirtyCount() >= threshold {
 		if m.flushBatch(now) == 0 {
 			return // all remaining dirty pages unmappable or already in flight
 		}
 	}
+}
+
+// dirtyThreshold is the background write-back threshold in pages.
+func (m *Mount) dirtyThreshold() int {
+	return max(int(m.cfg.DirtyRatio*float64(m.PC.L1.Capacity())), 1)
 }
 
 // flushBatch collects one batch of dirty pages (oldest dirtied
@@ -394,18 +397,18 @@ func (m *Mount) dirtyHighPages() int {
 }
 
 // balanceDirty applies dirty-page back pressure at a write-path op
-// boundary. In immediate mode it runs the inline flusher
-// (maybeWriteback), unchanged. In event mode flushing belongs to the
-// write-back daemon; the writing process instead parks — dirty
-// throttling, the balance_dirty_pages of this VFS — while dirty plus
-// in-flight write-back pages sit at or above the high-water mark, and
-// resumes as completion events bring the total down. It returns the
+// boundary. In immediate mode that is immediateWriteback. In event
+// mode flushing belongs to the write-back daemon; the writing process
+// instead parks — dirty throttling, the balance_dirty_pages of this
+// VFS — while dirty plus in-flight write-back pages sit at or above
+// the high-water mark, and resumes as completion events bring the
+// total down. It returns the
 // (possibly advanced) virtual time, which the caller charges to the
 // operation: a writer outrunning the device pays the stall in its own
 // latency.
 func (m *Mount) balanceDirty(at sim.Time) sim.Time {
 	if m.sub == nil || m.cur == nil {
-		m.maybeWriteback(at)
+		m.immediateWriteback(at)
 		return at
 	}
 	l1 := m.PC.L1
@@ -707,57 +710,32 @@ func (m *Mount) pageLBA(id cache.PageID) (int64, bool) {
 	return blockLBA(exts[0].DiskBlock), true
 }
 
-// maybeWriteback runs the inline flusher when the dirty ratio is
-// exceeded: collect a batch, sort by LBA (the elevator), issue,
-// mark clean. It serves immediate mode only (setup, including trace
-// replay's Setup),
-// where the submission is synchronous underneath and clean-at-submit
-// is clean-at-completion; in event mode flushing belongs to the
-// write-back daemon (flusherMain), which cleans pages in completion
-// callbacks instead.
-func (m *Mount) maybeWriteback(at sim.Time) {
+// immediateWriteback is immediate mode's background write-back (setup,
+// including trace replay's Setup): once dirty pages reach the
+// background threshold, the WritebackBatch oldest-dirtied go through
+// flushSync. The op that crossed the threshold is not charged for
+// the batch; the device is busy with it. In event mode flushing
+// belongs to the write-back daemon (flusherMain).
+func (m *Mount) immediateWriteback(at sim.Time) {
 	l1 := m.PC.L1
-	if l1.Capacity() == 0 {
+	if l1.Capacity() == 0 || l1.DirtyCount() < m.dirtyThreshold() {
 		return
 	}
-	threshold := int(m.cfg.DirtyRatio * float64(l1.Capacity()))
-	if threshold < 1 {
-		threshold = 1
+	m.scratch = l1.CollectDirty(m.scratch[:0], m.cfg.WritebackBatch)
+	if _, issued, _ := m.flushSync(at, m.scratch); issued > 0 {
+		m.stats.WritebackRounds++
+		m.stats.WritebackPages += int64(issued)
 	}
-	if l1.DirtyCount() < threshold {
-		return
-	}
-	m.scratch = m.scratch[:0]
-	m.scratch = l1.CollectDirty(m.scratch, m.cfg.WritebackBatch)
-	reqs := make([]device.Request, 0, len(m.scratch))
-	flushed := make([]cache.PageID, 0, len(m.scratch))
-	for _, id := range m.scratch {
-		lba, ok := m.pageLBA(id)
-		if !ok {
-			l1.Clean(id) // unmappable page: drop the dirty bit
-			continue
-		}
-		reqs = append(reqs, device.Request{Op: device.Write, LBA: lba, Sectors: sectorsPerBlock, Owner: device.OwnerDaemon})
-		flushed = append(flushed, id)
-	}
-	if len(reqs) == 0 {
-		return
-	}
-	device.SubmitBatch(m.Dev, at, reqs)
-	for _, id := range flushed {
-		l1.Clean(id)
-	}
-	m.stats.WritebackRounds++
-	m.stats.WritebackPages += int64(len(flushed))
 }
 
 // flushSync writes the given dirty pages synchronously and returns
-// the completion time. The pages transit the write-back state like
-// the daemon's flights — so a concurrent daemon wake cannot collect
-// and double-submit them while the caller is parked, and a page
-// re-dirtied during the wait stays dirty instead of being silently
-// cleaned. Sync paths (SyncAll, Fsync) share it.
-func (m *Mount) flushSync(at sim.Time, ids []cache.PageID) (sim.Time, error) {
+// the completion time and the number of writes issued. The pages
+// transit the write-back state like the daemon's flights — so a
+// concurrent daemon wake cannot collect and double-submit them while
+// the caller is parked, and a page re-dirtied during the wait stays
+// dirty instead of being silently cleaned. Sync paths (SyncAll,
+// Fsync) and immediate mode's background write-back share it.
+func (m *Mount) flushSync(at sim.Time, ids []cache.PageID) (sim.Time, int, error) {
 	l1 := m.PC.L1
 	reqs := make([]device.Request, 0, len(ids))
 	marked := make([]cache.PageID, 0, len(ids))
@@ -796,7 +774,7 @@ func (m *Mount) flushSync(at sim.Time, ids []cache.PageID) (sim.Time, error) {
 		// mount itself is the event target — no closure per flush.
 		m.loop.ScheduleTarget(done, m)
 	}
-	return done, err
+	return done, len(reqs), err
 }
 
 // RunEvent implements sim.EventTarget for flushSync's scheduled
@@ -810,8 +788,8 @@ func (m *Mount) RunEvent() { m.wakeDirtyWaiters() }
 // those pages are neither dirty nor durable until their completion
 // events fire.
 func (m *Mount) SyncAll(at sim.Time) (sim.Time, error) {
-	at = m.waitWriteback(at)
-	return m.flushSync(at, m.PC.L1.CollectDirty(nil, 0))
+	done, _, err := m.flushSync(m.waitWriteback(at), m.PC.L1.CollectDirty(nil, 0))
+	return done, err
 }
 
 // --- Path resolution -------------------------------------------------
