@@ -54,17 +54,14 @@ type Queue struct {
 	// is outstanding at a time.
 	kickPending bool
 
-	// backlog holds requests admitted beyond the window, FIFO.
-	// backlogHead indexes the front: pops advance it in O(1) and the
-	// slice compacts lazily, because write-back floods can queue
-	// hundreds of thousands of requests behind a millisecond-scale
-	// device and a copy-per-pop would go quadratic.
-	backlog     []*IORequest
-	backlogHead int
-	inflight    int
-	head        int64 // LBA just past the last dispatched transfer
-	seq         uint64
-	stats       QueueStats
+	// backlog holds requests admitted beyond the window. Write-back
+	// floods can queue hundreds of thousands of requests behind a
+	// millisecond-scale device, so its pops must stay O(1).
+	backlog  sim.FIFO[*IORequest]
+	inflight int
+	head     int64 // LBA just past the last dispatched transfer
+	seq      uint64
+	stats    QueueStats
 }
 
 // QueueStats counts queue-level events. Wait sums time from submission
@@ -186,7 +183,7 @@ func (q *Queue) Stats() QueueStats {
 // queued reports requests awaiting dispatch: window plus backlog,
 // excluding in-flight.
 func (q *Queue) queued() int {
-	return q.sched.Len() + len(q.backlog) - q.backlogHead
+	return q.sched.Len() + q.backlog.Len()
 }
 
 // Pending reports requests submitted but not yet completed, including
@@ -234,7 +231,7 @@ func (q *Queue) submit(at sim.Time, req Request, done func(sim.Time, error), rem
 	if q.sched.Len() < q.depth {
 		q.sched.Push(r)
 	} else {
-		q.backlog = append(q.backlog, r)
+		q.backlog.Push(r)
 	}
 	q.dispatch(at)
 	// Sample the high-water mark after dispatch, so a request that
@@ -334,26 +331,9 @@ func (r *IORequest) sendRemote(done sim.Time, err error) {
 
 // admit moves the oldest backlog entry into the freed window slot.
 func (q *Queue) admit() {
-	if q.backlogHead >= len(q.backlog) {
-		return
+	if q.backlog.Len() > 0 {
+		q.sched.Push(q.backlog.Pop())
 	}
-	r := q.backlog[q.backlogHead]
-	q.backlog[q.backlogHead] = nil
-	q.backlogHead++
-	switch {
-	case q.backlogHead == len(q.backlog):
-		q.backlog = q.backlog[:0]
-		q.backlogHead = 0
-	case q.backlogHead >= 1024 && q.backlogHead*2 >= len(q.backlog):
-		// Compact once the dead prefix dominates: amortized O(1).
-		n := copy(q.backlog, q.backlog[q.backlogHead:])
-		for i := n; i < len(q.backlog); i++ {
-			q.backlog[i] = nil
-		}
-		q.backlog = q.backlog[:n]
-		q.backlogHead = 0
-	}
-	q.sched.Push(r)
 }
 
 // complete ends one in-service request, refills the freed service

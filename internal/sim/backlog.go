@@ -7,8 +7,8 @@ package sim
 // through one. Its arrays are reused, so a backlog that keeps
 // draining allocates nothing once they have grown.
 type Backlog[T any] struct {
-	items  fifo[arrival[T]]
-	idle   fifo[*Server[T]]
+	items  FIFO[arrival[T]]
+	idle   FIFO[*Server[T]]
 	closed bool
 }
 
@@ -28,9 +28,9 @@ type Server[T any] struct {
 // longest-idle one resumes with Unpark: the caller, an event or
 // another process, runs on at the same instant once the server yields.
 func (b *Backlog[T]) Put(at Time, v T) {
-	b.items.push(arrival[T]{at: at, v: v})
-	if b.idle.len() > 0 {
-		b.idle.pop().p.Unpark()
+	b.items.Push(arrival[T]{at: at, v: v})
+	if b.idle.Len() > 0 {
+		b.idle.Pop().p.Unpark()
 	}
 }
 
@@ -39,8 +39,8 @@ func (b *Backlog[T]) Put(at Time, v T) {
 // drained and closed.
 func (b *Backlog[T]) Close() {
 	b.closed = true
-	for b.idle.len() > 0 {
-		b.idle.pop().p.Unpark()
+	for b.idle.Len() > 0 {
+		b.idle.Pop().p.Unpark()
 	}
 }
 
@@ -55,7 +55,7 @@ func (b *Backlog[T]) Serve(p *Proc) *Server[T] { return &Server[T]{b: b, p: p} }
 // abandons what is left.
 func (s *Server[T]) Take(now *Time, until Time) (at Time, v T, ok bool) {
 	b, p := s.b, s.p
-	for b.items.len() == 0 {
+	for b.items.Len() == 0 {
 		if b.closed {
 			return 0, v, false
 		}
@@ -65,7 +65,7 @@ func (s *Server[T]) Take(now *Time, until Time) (at Time, v T, ok bool) {
 			// process only to find the backlog still empty.
 			p.loop.ScheduleTarget(*now, s)
 		} else {
-			b.idle.push(s)
+			b.idle.Push(s)
 		}
 		if t := p.Park(); t > *now {
 			*now = t
@@ -74,7 +74,7 @@ func (s *Server[T]) Take(now *Time, until Time) (at Time, v T, ok bool) {
 	if *now >= until {
 		return 0, v, false
 	}
-	it := b.items.pop()
+	it := b.items.Pop()
 	*now = max(*now, it.at)
 	p.WaitUntil(*now)
 	return it.at, it.v, true
@@ -85,26 +85,29 @@ func (s *Server[T]) Take(now *Time, until Time) (at Time, v T, ok bool) {
 // drained and open the server goes idle; otherwise its process
 // resumes, as the event's last act, and so as from its own wake.
 func (s *Server[T]) RunEvent() {
-	if b := s.b; b.items.len() == 0 && !b.closed {
-		b.idle.push(s)
+	if b := s.b; b.items.Len() == 0 && !b.closed {
+		b.idle.Push(s)
 		return
 	}
 	s.p.RunEvent()
 }
 
-// fifo is a queue over one reusable array. Popped slots are zeroed so
-// they hold no references, and the array is reused once it drains. A
-// queue that never drains slides its live entries to the front, rather
-// than growing, once more than half of a full array is spent, so its
-// memory stays proportional to its peak length.
-type fifo[E any] struct {
+// FIFO is a queue over one reusable array; its zero value is empty.
+// Popped slots are zeroed so they hold no references, and the array is
+// reused once it drains. A queue that never drains slides its live
+// entries to the front, rather than growing, once more than half of a
+// full array is spent, so its memory stays proportional to its peak
+// length and every operation is amortized O(1).
+type FIFO[E any] struct {
 	buf  []E
 	head int
 }
 
-func (q *fifo[E]) len() int { return len(q.buf) - q.head }
+// Len reports the number of queued entries.
+func (q *FIFO[E]) Len() int { return len(q.buf) - q.head }
 
-func (q *fifo[E]) push(e E) {
+// Push appends e at the back.
+func (q *FIFO[E]) Push(e E) {
 	if len(q.buf) == cap(q.buf) && q.head > len(q.buf)/2 {
 		n := copy(q.buf, q.buf[q.head:])
 		clear(q.buf[n:])
@@ -113,7 +116,9 @@ func (q *fifo[E]) push(e E) {
 	q.buf = append(q.buf, e)
 }
 
-func (q *fifo[E]) pop() E {
+// Pop removes and returns the front entry. The queue must not be
+// empty.
+func (q *FIFO[E]) Pop() E {
 	e := q.buf[q.head]
 	var zero E
 	q.buf[q.head] = zero

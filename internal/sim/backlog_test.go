@@ -125,7 +125,7 @@ func TestBacklog(t *testing.T) {
 			if c := l.Counters(); c.Resumes != tc.resumes || c.InPlace != tc.inPlace {
 				t.Errorf("%d resumes and %d waits in place, want %d and %d", c.Resumes, c.InPlace, tc.resumes, tc.inPlace)
 			}
-			if got := b.items.len(); got != tc.left {
+			if got := b.items.Len(); got != tc.left {
 				t.Errorf("%d items left, want %d", got, tc.left)
 			}
 		})
@@ -167,20 +167,20 @@ func TestBacklogAllocFree(t *testing.T) {
 // order, and its array stays proportional to its length rather than
 // to everything ever pushed.
 func TestFifoSlidesInsteadOfGrowing(t *testing.T) {
-	var q fifo[int]
+	var q FIFO[int]
 	next, want := 0, 0
 	for ; next < 10; next++ {
-		q.push(next)
+		q.Push(next)
 	}
 	for i := 0; i < 10000; i++ {
-		q.push(next)
+		q.Push(next)
 		next++
-		if got := q.pop(); got != want {
+		if got := q.Pop(); got != want {
 			t.Fatalf("pop %d = %d, want %d", i, got, want)
 		}
 		want++
 	}
-	if q.len() != 10 || cap(q.buf) > 32 {
-		t.Errorf("len %d cap %d after 10010 pushes with 10 live, want len 10 and cap <= 32", q.len(), cap(q.buf))
+	if q.Len() != 10 || cap(q.buf) > 32 {
+		t.Errorf("len %d cap %d after 10010 pushes with 10 live, want len 10 and cap <= 32", q.Len(), cap(q.buf))
 	}
 }
