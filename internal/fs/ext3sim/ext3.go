@@ -145,22 +145,24 @@ func (f *FS) Remove(dir fs.Ino, name string, now sim.Time) ([]fs.IOStep, error) 
 	return f.journalize(steps), nil
 }
 
-// Resize implements fs.FileSystem.
+// Resize implements fs.FileSystem. In Journal mode the data blocks a
+// growth adds are logged too, one record block per 16 of them,
+// rounded up; a shrink adds none. Overwrites of existing blocks go
+// unlogged: the model never sees data writes.
 func (f *FS) Resize(ino fs.Ino, size int64, now sim.Time) ([]fs.IOStep, error) {
+	var before fs.Inode
+	if f.mode == Journal {
+		before, _, _ = f.Getattr(ino)
+	}
 	steps, err := f.FS.Resize(ino, size, now)
 	if err != nil {
 		return nil, err
 	}
 	if f.mode == Journal {
-		// Data journaling: log the data blocks being added too. We
-		// approximate with one record block per 16 data blocks.
-		grown := 0
-		for _, s := range steps {
-			if s.Write && !s.Sync {
-				grown++
-			}
+		after, _, _ := f.Getattr(ino)
+		if added := after.Blocks - before.Blocks; added > 0 {
+			steps = append(steps, f.journal.Append(int((added+15)/16))...)
 		}
-		steps = append(steps, f.journal.Append(grown/16+1)...)
 	}
 	return f.journalize(steps), nil
 }

@@ -111,3 +111,45 @@ func TestNameOverride(t *testing.T) {
 		t.Fatalf("Name = %q (embedding leaked ext2's name?)", f.Name())
 	}
 }
+
+// TestJournalModeLogsAddedData checks data=journal's extra appends
+// against Ordered on the same resize: one record block per 16 data
+// blocks a growth adds, rounded up, and none for a shrink.
+func TestJournalModeLogsAddedData(t *testing.T) {
+	cases := []struct {
+		name     string
+		from, to int64
+		want     int64
+	}{
+		{"grow-128K", 0, 128 << 10, 2},
+		{"grow-64M", 0, 64 << 20, 1024},
+		{"grow-1G", 0, 1 << 30, 16384},
+		{"shrink", 1 << 20, 4 << 10, 0},
+	}
+	appended := func(mode Mode, from, to int64) int64 {
+		f, err := New(1<<20, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ino, _, err := f.Create(f.Root(), "f", fs.Regular, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Resize(ino, from, 0); err != nil {
+			t.Fatal(err)
+		}
+		before, _, _ := f.JournalStats()
+		if _, err := f.Resize(ino, to, 0); err != nil {
+			t.Fatal(err)
+		}
+		after, _, _ := f.JournalStats()
+		return after - before
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := appended(Journal, c.from, c.to) - appended(Ordered, c.from, c.to); got != c.want {
+				t.Errorf("Journal appended %d record blocks more than Ordered, want %d", got, c.want)
+			}
+		})
+	}
+}

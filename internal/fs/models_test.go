@@ -46,7 +46,7 @@ func TestModelStepDigests(t *testing.T) {
 		{"ext3-writeback", func() (fs.FileSystem, error) { return ext3sim.New(digestBlocks, ext3sim.Writeback) },
 			"3e622256a87d415a1e23f55509ed7f5697d01299215896ed5a4599b621993385"},
 		{"ext3-journal", func() (fs.FileSystem, error) { return ext3sim.New(digestBlocks, ext3sim.Journal) },
-			"e5f5e61e19383378d26dc157b73e2bfd3d3660a5751688ed292dd49e009f50ed"},
+			"20a9733ea3d8bfa016d3e2b047643cc191ebf8a466871ef35244dc601de8d745"},
 		{"xfs", func() (fs.FileSystem, error) { return xfssim.New(digestBlocks, 4) },
 			"57209b102bed4d427deb1647d10e10ef9c66cecac7ab32275d17284473401d33"},
 	}
