@@ -152,6 +152,7 @@ func (f *FS) Remove(dir fs.Ino, name string, now sim.Time) ([]fs.IOStep, error) 
 func (f *FS) Resize(ino fs.Ino, size int64, now sim.Time) ([]fs.IOStep, error) {
 	var before fs.Inode
 	if f.mode == Journal {
+		// Getattr fails only on a bad inode, which Resize rejects.
 		before, _, _ = f.Getattr(ino)
 	}
 	steps, err := f.FS.Resize(ino, size, now)

@@ -402,10 +402,9 @@ func (m *Mount) dirtyHighPages() int {
 // instead parks — dirty throttling, the balance_dirty_pages of this
 // VFS — while dirty plus in-flight write-back pages sit at or above
 // the high-water mark, and resumes as completion events bring the
-// total down. It returns the
-// (possibly advanced) virtual time, which the caller charges to the
-// operation: a writer outrunning the device pays the stall in its own
-// latency.
+// total down. It returns the (possibly advanced) virtual time, which
+// the caller charges to the operation: a writer outrunning the device
+// pays the stall in its own latency.
 func (m *Mount) balanceDirty(at sim.Time) sim.Time {
 	if m.sub == nil || m.cur == nil {
 		m.immediateWriteback(at)
@@ -722,6 +721,8 @@ func (m *Mount) immediateWriteback(at sim.Time) {
 		return
 	}
 	m.scratch = l1.CollectDirty(m.scratch[:0], m.cfg.WritebackBatch)
+	// Nobody waits on background write-back, so nobody sees its error;
+	// the batch's pages leave the write-back state either way.
 	if _, issued, _ := m.flushSync(at, m.scratch); issued > 0 {
 		m.stats.WritebackRounds++
 		m.stats.WritebackPages += int64(issued)
