@@ -2,14 +2,21 @@ package sim
 
 // This file is the discrete-event kernel: a binary heap of timestamped
 // events with deterministic sequence-number tie-breaking, plus Proc, a
-// goroutine-backed simulated process that can block on events. See
+// coroutine-backed simulated process that can block on events. See
 // DESIGN.md §2 for the kernel and §4 for the determinism rules.
 //
 // The kernel is strictly single-baton: at any instant exactly one
 // goroutine — the loop owner or the one Proc it handed control to — is
-// runnable. Handoffs go through unbuffered channels, so the race
-// detector sees a total happens-before order and shared simulation
-// state needs no locks.
+// runnable. A handoff is a direct coroutine switch (iter.Pull), whose
+// race annotations give the race detector a total happens-before
+// order, so shared simulation state needs no locks.
+
+import (
+	"fmt"
+	"iter"
+	"runtime"
+	"runtime/debug"
+)
 
 // EventLoop is a discrete-event scheduler under virtual time. Events
 // fire in (time, sequence) order: ties at the same virtual instant
@@ -43,7 +50,7 @@ type Counters struct {
 	Events uint64
 	// Resumes counts baton handoffs to a process: its start, a wake
 	// (its own scheduled one, or an event's RunEvent call) or an
-	// Unpark. Each costs two goroutine switches.
+	// Unpark. Each costs two coroutine switches, one each way.
 	Resumes uint64
 	// InPlace counts WaitUntil calls that advanced the clock without
 	// yielding the baton.
@@ -224,44 +231,86 @@ func (l *EventLoop) down(i int) {
 	}
 }
 
-// Proc is a simulated process: a goroutine that runs simulation code
+// Proc is a simulated process: a coroutine that runs simulation code
 // and yields control back to the event loop whenever it waits for an
 // external wake-up or for virtual time in which other events come
-// first. Exactly one Proc runs at a time; the loop hands it the baton
-// and blocks until the Proc parks or finishes.
+// first. Exactly one Proc runs at a time; the loop switches to it and
+// is suspended until the Proc parks or finishes.
 type Proc struct {
 	loop *EventLoop
 	now  Time
-	// baton carries control both ways, unbuffered: the resumer sends
-	// the current time, and the process sends a zero back when it
-	// parks or finishes. Under the one-baton rule the two directions
-	// strictly alternate, so one channel serves both.
-	baton chan Time
+	// next and yield are the two ends of the process's coroutine
+	// (iter.Pull): next switches from the resumer into the body and
+	// yield back out of it, each directly, without the Go scheduler.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 }
 
+// schedYieldResumes is how many resumes a loop makes between calls to
+// runtime.Gosched. Coroutine switches never enter the Go scheduler,
+// and with one P (every fsperf child runs at GOMAXPROCS=1) the GC's
+// background mark worker runs only when something does: without the
+// yield, write-mix's peak RSS grew 13%. Every 8 to 32 resumes kept it
+// within 1% of the channel handoff; every 1,024 did not.
+const schedYieldResumes = 32
+
 // Go spawns a process that begins executing body at virtual time
-// start. The body runs on a goroutine of its own, which ends when the
-// body returns, but only while it holds the baton; it must interact
-// with virtual time exclusively through its Proc.
+// start. The body runs as a coroutine on a goroutine of its own, which
+// ends when the body returns, but only while it holds the baton; it
+// must interact with virtual time exclusively through its Proc. A
+// panic in the body reaches the resumer as an error that carries the
+// process's stack (procPanic).
 func (l *EventLoop) Go(start Time, body func(p *Proc)) *Proc {
-	p := &Proc{loop: l, baton: make(chan Time)}
+	p := &Proc{loop: l}
 	l.counters.Spawned++
-	go func() {
-		p.now = <-p.baton
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer rethrowWithStack()
 		body(p)
-		p.baton <- 0
-	}()
+	})
 	l.ScheduleTarget(start, p)
 	return p
 }
 
-// resume hands the baton to the process and blocks until it parks or
+// procPanic is the value a process's panic resurfaces as in the
+// goroutine that resumed it. iter.Pull re-raises a coroutine's panic
+// there, where the printed trace holds only the resumer's frames, so
+// the process's own stack, taken where it panicked, travels with the
+// value.
+type procPanic struct {
+	value any    // what the process panicked with
+	stack []byte // the process's stack at the panic
+}
+
+func (e *procPanic) Error() string {
+	return fmt.Sprintf("%v\n\nprocess stack:\n%s", e.value, e.stack)
+}
+
+// rethrowWithStack, deferred in a process's coroutine, re-panics with
+// a *procPanic. One that already is passes through unchanged: it comes
+// from a process this one resumed, and its stack is the one to show.
+func rethrowWithStack() {
+	v := recover()
+	if v == nil {
+		return
+	}
+	if _, ok := v.(*procPanic); !ok {
+		v = &procPanic{value: v, stack: debug.Stack()}
+	}
+	panic(v)
+}
+
+// resume switches to the process and is suspended until it parks or
 // finishes. It runs in the baton holder's context: inside an event, or
 // in a process that unparks another.
 func (p *Proc) resume() {
-	p.loop.counters.Resumes++
-	p.baton <- p.loop.Now()
-	<-p.baton
+	l := p.loop
+	l.counters.Resumes++
+	if l.counters.Resumes%schedYieldResumes == 0 {
+		runtime.Gosched()
+	}
+	p.now = l.now
+	p.next()
 }
 
 // RunEvent implements EventTarget: a scheduled Proc resumes. This is
@@ -329,8 +378,7 @@ func (p *Proc) Sleep(d Time) Time { return p.WaitUntil(p.now + d) }
 // virtual time at which the process was woken. The caller must have
 // arranged a wake-up first, or the process sleeps forever.
 func (p *Proc) Park() Time {
-	p.baton <- 0
-	p.now = <-p.baton
+	p.yield(struct{}{})
 	return p.now
 }
 

@@ -161,9 +161,10 @@ func TestProcRunsAheadLocally(t *testing.T) {
 
 // TestProcGoroutinesExit checks that a process's goroutine ends with
 // its body: once a loop has run 1,000 processes dry, the goroutine
-// count falls back to where it started. A goroutine ends just after
-// its last baton send, so the test polls the count against a deadline
-// rather than sampling it once.
+// count falls back to where it started. A coroutine's goroutine exits
+// as it switches back for the last time, but the count is a runtime
+// tally the test does not own, so it polls the count against a
+// deadline rather than sampling it once.
 func TestProcGoroutinesExit(t *testing.T) {
 	before := runtime.NumGoroutine()
 	l := NewEventLoop(0)
@@ -179,6 +180,34 @@ func TestProcGoroutinesExit(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestProcPanicKeepsStack checks that a process's panic reaches the
+// loop's caller with the process's own stack: the coroutine re-raises
+// it on the resumer's goroutine, whose trace alone would not name the
+// function that panicked.
+func TestProcPanicKeepsStack(t *testing.T) {
+	l := NewEventLoop(0)
+	l.Go(0, func(p *Proc) {
+		p.Sleep(1)
+		panicInProcess()
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		l.Run()
+	}()
+	err, ok := got.(error)
+	if !ok {
+		t.Fatalf("recovered %T %v, want an error", got, got)
+	}
+	for _, want := range []string{"accounting invariant broken", "panicInProcess"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("panic value lacks %q:\n%s", want, err)
+		}
+	}
+}
+
+func panicInProcess() { panic("accounting invariant broken") }
 
 func BenchmarkEventLoopScheduleStep(b *testing.B) {
 	l := NewEventLoop(0)
@@ -410,7 +439,7 @@ func BenchmarkScheduleAlloc(b *testing.B) {
 	b.Run("closure", func(b *testing.B) {
 		l := NewEventLoop(0)
 		l.Reserve(16)
-		p := &Proc{loop: l, baton: make(chan Time)}
+		p := &Proc{loop: l}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			// The pre-fix form: a method-value closure per schedule.
@@ -423,7 +452,7 @@ func BenchmarkScheduleAlloc(b *testing.B) {
 	b.Run("target", func(b *testing.B) {
 		l := NewEventLoop(0)
 		l.Reserve(16)
-		p := &Proc{loop: l, baton: make(chan Time)}
+		p := &Proc{loop: l}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			l.ScheduleTarget(l.Now()+1, p)

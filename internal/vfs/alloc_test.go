@@ -39,6 +39,47 @@ func TestSubmitAsyncAllocPinned(t *testing.T) {
 	}
 }
 
+// TestSubmitSyncAllocPinned pins the blocking path (demand misses,
+// metadata reads): one wake → submit → completion → park cycle of a
+// process that issues one read through submitSync costs at most one
+// allocation, the block layer's IORequest. The pooled waiter, whose
+// completion is bound once, is what this pin protects; a completion
+// closure per request, with the results it captures, costs three more.
+func TestSubmitSyncAllocPinned(t *testing.T) {
+	m := newMount(t, 64, 0)
+	loop := sim.NewEventLoop(0)
+	enterEvents(t, m, loop)
+	m.StopWriteback()
+	loop.Reserve(64)
+	req := device.Request{Op: device.Read, LBA: 4096, Sectors: 8, Owner: device.OwnerNone}
+	stop := false
+	p := loop.Go(loop.Now(), func(p *sim.Proc) {
+		for !stop {
+			m.SetProc(p, 1)
+			if _, err := m.submitSync(p.Now(), req); err != nil {
+				t.Error(err)
+			}
+			p.Park()
+		}
+	})
+	cycle := func() {
+		loop.ScheduleTarget(loop.Now()+1, p)
+		loop.Run() // wake, submit, dispatch, completion, park
+	}
+	// Warm the pool, the scheduler window, and the per-owner stats map.
+	loop.Run()
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	allocs := testing.AllocsPerRun(200, cycle)
+	stop = true
+	cycle()
+	m.EndEvents()
+	if allocs > 1 {
+		t.Fatalf("submitSync cycle allocated %.1f objects/op, want <= 1 (the IORequest)", allocs)
+	}
+}
+
 // TestMountWakeAllocFree pins flushSync's deferred wake: the mount
 // itself is the event target, so scheduling the dirty-waiter wake
 // costs zero allocations.

@@ -141,6 +141,9 @@ type Mount struct {
 	// asyncPool recycles deferred-submission events (submitAsync) so
 	// the fire-and-forget hot path allocates no closures.
 	asyncPool []*asyncReq
+	// waitPool recycles blocking submissions' completions (submitSync)
+	// the same way, so a blocking request allocates only its IORequest.
+	waitPool []*syncWait
 	// cur is the process currently holding the baton. Every yield
 	// point restores it (together with curOwner) on resume, so nested
 	// blocking submissions inside one VFS call chain stay bound to
@@ -473,17 +476,39 @@ func (m *Mount) submitSync(at sim.Time, req device.Request) (sim.Time, error) {
 	p, owner := m.cur, m.curOwner
 	p.WaitUntil(at)
 	m.cur, m.curOwner = p, owner // restore after a potential yield
-	var done sim.Time
-	var rerr error
-	m.sub.Submit(p.Now(), req, func(t sim.Time, err error) {
-		done, rerr = t, err
-		// The completion is its event's last act (Submitter), so p
-		// resumes as from its own wake.
-		p.RunEvent()
-	})
+	var w *syncWait
+	if n := len(m.waitPool); n > 0 {
+		w = m.waitPool[n-1]
+		m.waitPool = m.waitPool[:n-1]
+	} else {
+		w = new(syncWait)
+		w.complete = w.store
+	}
+	w.p = p
+	m.sub.Submit(p.Now(), req, w.complete)
 	p.Park()
 	m.cur, m.curOwner = p, owner
-	return done, rerr
+	done, err := w.done, w.err
+	*w = syncWait{complete: w.complete}
+	m.waitPool = append(m.waitPool, w)
+	return done, err
+}
+
+// syncWait is a pooled blocking submission: the process parked on it
+// and the result its completion stores. complete is w.store, bound
+// once when the waiter is made, so passing it allocates nothing.
+type syncWait struct {
+	p        *sim.Proc
+	done     sim.Time
+	err      error
+	complete func(sim.Time, error)
+}
+
+// store records the result and resumes the process. The completion is
+// its event's last act (Submitter), so p resumes as from its own wake.
+func (w *syncWait) store(t sim.Time, err error) {
+	w.done, w.err = t, err
+	w.p.RunEvent()
 }
 
 // submitAsync issues one fire-and-forget request: the device does the
