@@ -79,7 +79,11 @@ func (m *Mount) Mkdir(at sim.Time, path string) (sim.Time, error) {
 		return now, err
 	}
 	m.dcache["/"+trimSlashes(path)] = ino
-	return m.execSteps(now, steps, false)
+	now, err = m.execSteps(now, steps, false)
+	if err != nil {
+		return now, err
+	}
+	return m.balanceDirty(now), nil
 }
 
 // Unlink removes a file or empty directory.

@@ -17,12 +17,13 @@ import (
 // and the goldens see setup only through timing. The script drives
 // ext3 Ordered on the HDD behind a 512-page LRU cache past the
 // background threshold, then through interleaved overwrites and
-// reads, a burst of Mkdirs that a read then flushes, an Fsync, an
-// Unlink and a SyncAll. After each call it hashes the call's returned
-// time and error, the VFS, device and cache counters, the dirty count
-// and the resident count.
+// reads, a burst of Mkdirs that flushes, one large write whose own
+// flush leaves enough dirty for a read to flush, an Fsync, an Unlink
+// and a SyncAll. After each call it hashes the call's returned time
+// and error, the VFS, device and cache counters, the dirty count and
+// the resident count.
 func TestImmediateWritebackPinned(t *testing.T) {
-	const want = "7dde7063bb0e1831bd1cec09350da5f72a742c8689a9e0dd9e66639a02a4f4e3"
+	const want = "dc0e2d26e240be36d4f5b093dabe11c859dd67e98327ca40784afc8f9bda48e5"
 	fsys, err := ext3sim.New(262144, ext3sim.Ordered) // 1 GB
 	if err != nil {
 		t.Fatal(err)
@@ -71,11 +72,20 @@ func TestImmediateWritebackPinned(t *testing.T) {
 		now = rec(done, err)
 	}
 
-	// Mkdir applies no back pressure, so a burst of them leaves the
-	// dirty count past the threshold for the next read to flush.
+	// Mkdir dirties metadata as Create does and applies the same back
+	// pressure, so a burst of them flushes once past the threshold.
+	rounds := m.Stats().WritebackRounds
 	for i := range 120 {
 		now = rec(m.Mkdir(now, fmt.Sprintf("/d%d", i)))
 	}
+	if m.Stats().WritebackRounds == rounds {
+		t.Fatalf("a burst of Mkdirs left %d dirty pages unflushed", m.PC.L1.DirtyCount())
+	}
+
+	// One write of 400 pages dirties more than the threshold plus one
+	// 256-page batch, so after the batch its own back pressure flushes,
+	// the next read still finds the count past the threshold.
+	now = rec(m.Write(now, fds[3], fileSize, 400<<12))
 	dirty, rounds := m.PC.L1.DirtyCount(), m.Stats().WritebackRounds
 	_, done, err := m.Read(now, fds[2], 0, 2<<10)
 	now = rec(done, err)
