@@ -249,9 +249,9 @@ type Proc struct {
 // schedYieldResumes is how many resumes a loop makes between calls to
 // runtime.Gosched. Coroutine switches never enter the Go scheduler,
 // and with one P (every fsperf child runs at GOMAXPROCS=1) the GC's
-// background mark worker runs only when something does: without the
-// yield, write-mix's peak RSS grew 13%. Every 8 to 32 resumes kept it
-// within 1% of the channel handoff; every 1,024 did not.
+// background mark worker runs only when something does. With no
+// yield, or one every 1,024 resumes, write-mix's peak RSS is 10–12%
+// higher than with one every 32 (DESIGN.md §9.5).
 const schedYieldResumes = 32
 
 // Go spawns a process that begins executing body at virtual time

@@ -83,8 +83,8 @@ func TestImmediateWritebackPinned(t *testing.T) {
 	}
 
 	// One write of 400 pages dirties more than the threshold plus one
-	// 256-page batch, so after the batch its own back pressure flushes,
-	// the next read still finds the count past the threshold.
+	// 256-page batch: its own back pressure flushes one batch, which
+	// leaves the count past the threshold for the next read to flush.
 	now = rec(m.Write(now, fds[3], fileSize, 400<<12))
 	dirty, rounds := m.PC.L1.DirtyCount(), m.Stats().WritebackRounds
 	_, done, err := m.Read(now, fds[2], 0, 2<<10)
