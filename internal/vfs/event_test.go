@@ -1,9 +1,15 @@
 package vfs
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"hash"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/device"
+	"repro/internal/fs/ext3sim"
 	"repro/internal/sim"
 )
 
@@ -164,5 +170,122 @@ func TestEventModeOwnerSurvivesPark(t *testing.T) {
 	// exactly once: everything after the first park was stamped 2.
 	if counts[1] < 4 || counts[2] < 4 {
 		t.Errorf("requests misattributed after park: %v (owners %v)", counts, rec.owners)
+	}
+}
+
+// requestHasher wraps a Device and hashes every request it services:
+// submit and completion time, op, range, owner and error. It counts
+// requests per owner.
+type requestHasher struct {
+	device.Device
+	h      hash.Hash
+	owners map[int]int
+}
+
+func (r *requestHasher) Submit(at sim.Time, req device.Request) (sim.Time, error) {
+	done, err := r.Device.Submit(at, req)
+	fmt.Fprintf(r.h, "%d %d %v %d %d %d %v\n", at, done, req.Op, req.LBA, req.Sectors, req.Owner, err)
+	r.owners[req.Owner]++
+	return done, err
+}
+
+// TestEventModeOwnerAtEveryPark pins attribution across every park
+// site of the mount: a blocking read, the dirty throttle, an Fsync's
+// batch, its wait on the daemon's in-flight write-back, and the daemon
+// itself. Two processes on ext3 Ordered on the HDD, behind a 256-page
+// cache, each create a file and run 48 rounds of a cold 4 KB random
+// read of their own 1 MB file and a 16 KB append, with an Fsync every
+// 16 rounds; then each sleeps 600 ms, past the daemon's wake, and
+// Fsyncs once more. Every request the device services, and the final
+// VFS, cache, queue and device counters, go into one sha256.
+func TestEventModeOwnerAtEveryPark(t *testing.T) {
+	const want = "4ea4f91b3525171b0db6365cf2ee7d7afe9abe23e6d98bf1c03c21a154263d74"
+	fsys, err := ext3sim.New(262144, ext3sim.Ordered) // 1 GB
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdd := device.NewHDD(device.DefaultHDD(), sim.NewRNG(31))
+	m := New(fsys, hdd, cache.NewHierarchy(cache.New(256, cache.NewLRU()), nil), DefaultConfig())
+	var src []*FD
+	var now sim.Time
+	for i := range 2 {
+		fd, done, err := m.Create(now, fmt.Sprintf("/src%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if now, err = m.Write(done, fd, 0, 1<<20); err != nil {
+			t.Fatal(err)
+		}
+		src = append(src, fd)
+	}
+	if now, err = m.SyncAll(now); err != nil {
+		t.Fatal(err)
+	}
+	m.DropCaches()
+
+	h := sha256.New()
+	rec := &requestHasher{Device: m.Dev, h: h, owners: map[int]int{}}
+	m.Dev = rec
+	loop := sim.NewEventLoop(now)
+	q := enterEvents(t, m, loop)
+	remaining := 2
+	for i := range 2 {
+		owner := i + 1
+		rng := sim.NewRNG(uint64(40 + owner))
+		loop.Go(now, func(p *sim.Proc) {
+			defer func() {
+				if remaining--; remaining == 0 {
+					m.StopWriteback()
+				}
+			}()
+			at := p.Now()
+			// bind realigns the process with its clock and binds the
+			// mount to it before each op, as the engines do.
+			bind := func() sim.Time {
+				p.WaitUntil(at)
+				m.SetProc(p, owner)
+				return at
+			}
+			fd, done, err := m.Create(bind(), fmt.Sprintf("/w%d", owner))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			at = done
+			for r := range 48 {
+				if _, at, err = m.Read(bind(), src[i], rng.Int63n(256)*4096, 4096); err != nil {
+					t.Error(err)
+					return
+				}
+				if at, err = m.Write(bind(), fd, int64(r)*16<<10, 16<<10); err != nil {
+					t.Error(err)
+					return
+				}
+				if r%16 == 15 {
+					if at, err = m.Fsync(bind(), fd); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+			at += 600 * sim.Millisecond
+			if _, err = m.Fsync(bind(), fd); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	loop.Run()
+	m.EndEvents()
+	st := m.Stats()
+	fmt.Fprintf(h, "%+v|%+v|%+v|%+v\n", st, m.PC.L1.Stats(), q.Stats(), m.Dev.Stats())
+
+	if rec.owners[1] == 0 || rec.owners[2] == 0 || rec.owners[device.OwnerDaemon] == 0 || rec.owners[device.OwnerNone] != 0 {
+		t.Errorf("requests per owner %v: want owners 1, 2 and the daemon, and none unattributed", rec.owners)
+	}
+	if st.ThrottleStalls == 0 || st.Fsyncs != 8 {
+		t.Errorf("throttle stalls %d, fsyncs %d: want some stalls and 8 fsyncs", st.ThrottleStalls, st.Fsyncs)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("attribution digest = %s, want %s", got, want)
 	}
 }
