@@ -61,9 +61,9 @@
 //
 // Every I/O carries the identity of the thread (or daemon) that
 // issued it: workload threads have stable OwnerIDs, the write-back
-// daemon — a pdflush-style simulated process that ages out dirty
-// pages and parks writers at the dirty high-water mark — submits
-// under its own identity, and owner-aware scheduling (cfq) and
+// daemon — a pdflush-style periodic wake that ages out dirty pages
+// while writers park at the dirty high-water mark — submits under its
+// own identity, and owner-aware scheduling (cfq) and
 // per-thread accounting key on it. Result.PerOwner holds per-thread
 // op counts and latency histograms, Result.Jain the Jain fairness
 // index of the service split; see examples/fairness for cfq vs ncq

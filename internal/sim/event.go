@@ -35,6 +35,8 @@ type EventLoop struct {
 	// tell WaitUntil when the loop's next Step would pop its wake.
 	horizon Time
 	woken   *Proc
+	// running is the process that holds the baton, nil in loop context.
+	running *Proc
 
 	// counters tallies the host work done so far (see Counters).
 	counters Counters
@@ -86,6 +88,11 @@ func NewEventLoop(start Time) *EventLoop { return &EventLoop{now: max(start, 0)}
 
 // Now reports the loop's current virtual time.
 func (l *EventLoop) Now() Time { return l.now }
+
+// Running reports the process that holds the baton: the one whose
+// code is executing, or nil when the loop itself is (an event
+// callback, or between Steps).
+func (l *EventLoop) Running() *Proc { return l.running }
 
 // Counters reports the loop's host-work tallies so far.
 func (l *EventLoop) Counters() Counters { return l.counters }
@@ -238,7 +245,11 @@ func (l *EventLoop) down(i int) {
 // is suspended until the Proc parks or finishes.
 type Proc struct {
 	loop *EventLoop
-	now  Time
+	// Owner is the requester identity the process's I/O is stamped
+	// with (device.Request.Owner). The engine that spawns the process
+	// sets it, the VFS stamps it on the requests the process submits,
+	// and the kernel never reads it.
+	Owner int
 	// next and yield are the two ends of the process's coroutine
 	// (iter.Pull): next switches from the resumer into the body and
 	// yield back out of it, each directly, without the Go scheduler.
@@ -302,15 +313,18 @@ func rethrowWithStack() {
 
 // resume switches to the process and is suspended until it parks or
 // finishes. It runs in the baton holder's context: inside an event, or
-// in a process that unparks another.
+// in a process that unparks another, which holds the baton again, and
+// is Running again, once p yields.
 func (p *Proc) resume() {
 	l := p.loop
 	l.counters.Resumes++
 	if l.counters.Resumes%schedYieldResumes == 0 {
 		runtime.Gosched()
 	}
-	p.now = l.now
+	outer := l.running
+	l.running = p
 	p.next()
+	l.running = outer
 }
 
 // RunEvent implements EventTarget: a scheduled Proc resumes. This is
@@ -331,11 +345,11 @@ func (p *Proc) RunEvent() {
 	l.woken = nil
 }
 
-// Now reports the process's virtual time: the loop clock when it last
-// resumed or advanced, so it equals its event loop's Now whenever the
-// process runs. CPU-only run-ahead is the caller's to account (the workload
-// engine keeps a per-thread clock and realigns it with WaitUntil).
-func (p *Proc) Now() Time { return p.now }
+// Now reports the process's virtual time, which is its event loop's
+// clock: a process runs only at the loop's current instant. CPU-only
+// run-ahead is the caller's to account (the workload engine keeps a
+// per-thread clock and realigns it with WaitUntil).
+func (p *Proc) Now() Time { return p.loop.now }
 
 // WaitUntil blocks the process until virtual time t and returns the
 // process's time afterwards. If t is not in the future the call
@@ -356,15 +370,14 @@ func (p *Proc) Now() Time { return p.now }
 // Events therefore run in the same (time, sequence) order at the same
 // clock either way.
 func (p *Proc) WaitUntil(t Time) Time {
-	if t <= p.now {
-		return p.now
-	}
 	l := p.loop
+	if t <= l.now {
+		return l.now
+	}
 	if l.woken == p && l.popsNext(t) {
 		l.counters.InPlace++
 		l.seq++
-		l.now = max(l.now, t)
-		p.now = t
+		l.now = t
 		return t
 	}
 	l.ScheduleTarget(t, p)
@@ -372,21 +385,22 @@ func (p *Proc) WaitUntil(t Time) Time {
 }
 
 // Sleep waits for d of virtual time, as WaitUntil(Now()+d).
-func (p *Proc) Sleep(d Time) Time { return p.WaitUntil(p.now + d) }
+func (p *Proc) Sleep(d Time) Time { return p.WaitUntil(p.loop.now + d) }
 
 // Park yields the baton until some event calls Unpark. It returns the
 // virtual time at which the process was woken. The caller must have
 // arranged a wake-up first, or the process sleeps forever.
 func (p *Proc) Park() Time {
 	p.yield(struct{}{})
-	return p.now
+	return p.loop.now
 }
 
 // Unpark resumes a parked process at the loop's current time and hands
 // it the baton until it parks again. The caller is an event callback
-// (a Backlog's Put hands an arrival straight to an idle server) or
-// another running process (the write-back daemon resumes writers
-// parked on dirty pages); either way it runs on at the same instant
-// once the process yields, so the process yields at its next wait
-// instead of advancing in place.
+// (a Backlog's Put hands an arrival straight to an idle server, a
+// write-back completion wakes writers parked on dirty pages) or,
+// though nothing outside this package's tests does it, another
+// running process; either way it runs on at the same instant once the
+// process yields, so the process yields at its next wait instead of
+// advancing in place.
 func (p *Proc) Unpark() { p.resume() }

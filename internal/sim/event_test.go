@@ -159,6 +159,42 @@ func TestProcRunsAheadLocally(t *testing.T) {
 	}
 }
 
+// TestProcRunning checks that the loop records which process holds the
+// baton: none in an event callback or after Run; the process itself in
+// its body after its start, after a wake that yielded and after an
+// in-place advance; and the outer process again once a process it
+// unparked yields back.
+func TestProcRunning(t *testing.T) {
+	l := NewEventLoop(0)
+	check := func(where string, want *Proc) {
+		t.Helper()
+		if got := l.Running(); got != want {
+			t.Errorf("%s: Running() = %p, want %p", where, got, want)
+		}
+	}
+	var inner, outer *Proc
+	inner = l.Go(0, func(p *Proc) {
+		check("inner, after its start", inner)
+		p.Park()
+		check("inner, unparked by outer", inner)
+	})
+	outer = l.Go(0, func(p *Proc) {
+		check("outer, after its start", outer)
+		p.Sleep(10) // the event at 5 comes first: a yield
+		check("outer, after a wake that yielded", outer)
+		p.Sleep(10) // nothing pending: an in-place advance
+		check("outer, after an in-place advance", outer)
+		inner.Unpark()
+		check("outer, after unparking inner", outer)
+	})
+	l.Schedule(5, func() { check("event callback", nil) })
+	l.Run()
+	check("after Run", nil)
+	if c := l.Counters(); c.InPlace != 1 || c.Resumes != 4 {
+		t.Errorf("counters %+v, want 1 in-place advance and 4 resumes", c)
+	}
+}
+
 // TestProcGoroutinesExit checks that a process's goroutine ends with
 // its body: once a loop has run 1,000 processes dry, the goroutine
 // count falls back to where it started. A coroutine's goroutine exits

@@ -238,10 +238,10 @@ func (e *Engine) DropCaches() { e.m.DropCaches() }
 // modes — so results are bit-identical at any host parallelism.
 func (e *Engine) Run(from, until sim.Time) (sim.Time, error) {
 	// Iterators open before the mount enters event mode, so open errors
-	// are synchronous and leave nothing to unwind but the iterators:
-	// BeginEvents spawns the write-back daemon's proc, which only a loop
-	// that runs can retire. afap gives each stream its own filtered
-	// iterator, timed/scaled one shared iterator per tenant dispatcher.
+	// are synchronous and leave nothing to unwind but the iterators: the
+	// mount stays in event mode until a loop that ran calls EndEvents.
+	// afap gives each stream its own filtered iterator, timed/scaled one
+	// shared iterator per tenant dispatcher.
 	open := e.cfg.Mode != AFAP
 	type start struct {
 		tn *tenant
@@ -277,32 +277,25 @@ func (e *Engine) Run(from, until sim.Time) (sim.Time, error) {
 	if err != nil {
 		return fail(err)
 	}
-	e.m.BeginEvents(loop, q)
-	e.runErr = nil
-	// Every worker and dispatcher holds at most one pending event.
-	remaining := e.workers
+	// Each worker and each dispatcher calls finish once as it ends;
+	// the last call retires the write-back daemon.
+	n := e.workers
 	if open {
-		remaining += len(e.tenants)
+		n += len(e.tenants)
 	}
-	loop.Reserve(remaining + 16)
-	if remaining == 0 {
-		e.m.StopWriteback()
-	}
-	finish := func() {
-		if remaining--; remaining == 0 {
-			e.m.StopWriteback()
-		}
-	}
+	finish := e.m.BeginEvents(loop, q, n)
+	e.runErr = nil
 	// Workers spawn before dispatchers so every stream is parked on
 	// its queue before the first arrival fires.
 	for _, tn := range e.tenants {
 		for _, st := range tn.streams {
 			st.now = from
 			if open {
-				loop.Go(from, func(p *sim.Proc) {
+				p := loop.Go(from, func(p *sim.Proc) {
 					defer finish()
 					e.streamWorker(p, st, until)
 				})
+				p.Owner = st.owner + 1
 			}
 		}
 	}
@@ -314,10 +307,11 @@ func (e *Engine) Run(from, until sim.Time) (sim.Time, error) {
 			})
 			continue
 		}
-		loop.Go(from, func(p *sim.Proc) {
+		p := loop.Go(from, func(p *sim.Proc) {
 			defer finish()
 			e.afapWorker(p, s.st, s.it, until)
 		})
+		p.Owner = s.st.owner + 1
 	}
 	loop.Run()
 	e.kernel = loop.Counters()
@@ -422,7 +416,6 @@ func (e *Engine) streamWorker(p *sim.Proc, st *stream, until sim.Time) {
 		if !ok {
 			return
 		}
-		e.m.SetProc(p, st.owner+1)
 		st.arrival = at
 		if err := e.exec(st, rec); err != nil {
 			if e.runErr == nil {
@@ -453,7 +446,6 @@ func (e *Engine) afapWorker(p *sim.Proc, st *stream, it Iterator, until sim.Time
 			continue
 		}
 		p.WaitUntil(st.now)
-		e.m.SetProc(p, st.owner+1)
 		st.arrival = st.now
 		if err := e.exec(st, rec); err != nil {
 			if e.runErr == nil {

@@ -327,7 +327,7 @@ func TestReplayKernelCounters(t *testing.T) {
 	eng := runEngine(t, EngineConfig{
 		Mode: Timed, Tenants: []Source{MemorySource(statTrace(records, 7))},
 	}, records*sim.Microsecond+sim.Millisecond).eng
-	want := sim.Counters{Events: 8202, Resumes: 4114, InPlace: 0, Spawned: 9}
+	want := sim.Counters{Events: 8201, Resumes: 4112, InPlace: 0, Spawned: 8}
 	if eng.kernel != want {
 		t.Errorf("kernel tallies %+v, want %+v", eng.kernel, want)
 	}

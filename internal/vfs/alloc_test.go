@@ -17,7 +17,6 @@ func TestSubmitAsyncAllocPinned(t *testing.T) {
 	m := newMount(t, 64, 0)
 	loop := sim.NewEventLoop(0)
 	enterEvents(t, m, loop)
-	m.StopWriteback()
 	loop.Reserve(64)
 	req := device.Request{Op: device.Write, LBA: 4096, Sectors: 8, Owner: device.OwnerNone}
 	// Warm the pool, the scheduler window, and the per-owner stats map.
@@ -49,19 +48,18 @@ func TestSubmitSyncAllocPinned(t *testing.T) {
 	m := newMount(t, 64, 0)
 	loop := sim.NewEventLoop(0)
 	enterEvents(t, m, loop)
-	m.StopWriteback()
 	loop.Reserve(64)
 	req := device.Request{Op: device.Read, LBA: 4096, Sectors: 8, Owner: device.OwnerNone}
 	stop := false
 	p := loop.Go(loop.Now(), func(p *sim.Proc) {
 		for !stop {
-			m.SetProc(p, 1)
 			if _, err := m.submitSync(p.Now(), req); err != nil {
 				t.Error(err)
 			}
 			p.Park()
 		}
 	})
+	p.Owner = 1
 	cycle := func() {
 		loop.ScheduleTarget(loop.Now()+1, p)
 		loop.Run() // wake, submit, dispatch, completion, park
@@ -87,7 +85,6 @@ func TestMountWakeAllocFree(t *testing.T) {
 	m := newMount(t, 64, 0)
 	loop := sim.NewEventLoop(0)
 	enterEvents(t, m, loop)
-	m.StopWriteback()
 	loop.Reserve(16)
 	allocs := testing.AllocsPerRun(200, func() {
 		loop.ScheduleTarget(loop.Now()+1, m)
@@ -105,7 +102,6 @@ func BenchmarkSubmitAsyncAlloc(b *testing.B) {
 	m := newMount(b, 64, 0)
 	loop := sim.NewEventLoop(0)
 	enterEvents(b, m, loop)
-	m.StopWriteback()
 	loop.Reserve(64)
 	req := device.Request{Op: device.Write, LBA: 4096, Sectors: 8, Owner: device.OwnerNone}
 	b.ReportAllocs()

@@ -27,19 +27,14 @@ func TestEventModeBlockingRead(t *testing.T) {
 
 	loop := sim.NewEventLoop(0)
 	enterEvents(t, m, loop)
-	// Direct BeginEvents users must release the write-back daemon
-	// themselves, or its periodic wake-up keeps the loop alive forever
-	// (the engine does this when its last thread finishes).
-	m.StopWriteback()
 	var solo sim.Time
 	loop.Go(0, func(p *sim.Proc) {
-		m.SetProc(p, 1)
 		_, done, err := m.Read(p.Now(), fd, 0, 4096)
 		if err != nil {
 			t.Error(err)
 		}
 		solo = done
-	})
+	}).Owner = 1
 	loop.Run()
 	m.EndEvents()
 	if solo == 0 {
@@ -51,19 +46,16 @@ func TestEventModeBlockingRead(t *testing.T) {
 	m.PC.L1.Flush()
 	loop = sim.NewEventLoop(0)
 	q := enterEvents(t, m, loop)
-	m.StopWriteback()
 	var dones []sim.Time
 	for i := 0; i < 2; i++ {
 		off := int64(i) * 512 << 10
-		owner := i + 1
 		loop.Go(0, func(p *sim.Proc) {
-			m.SetProc(p, owner)
 			_, done, err := m.Read(p.Now(), fd, off, 4096)
 			if err != nil {
 				t.Error(err)
 			}
 			dones = append(dones, done)
-		})
+		}).Owner = i + 1
 	}
 	loop.Run()
 	m.EndEvents()
@@ -96,14 +88,16 @@ func TestEventModeBadScheduler(t *testing.T) {
 }
 
 // enterEvents puts m into event mode on loop over a queue of its own,
-// as the engines do, and returns the queue.
+// as the engines do, and returns the queue. It counts no processes, so
+// the write-back daemon is retired at once: its first wake ends it
+// instead of keeping the loop alive forever.
 func enterEvents(t testing.TB, m *Mount, loop *sim.EventLoop) *device.Queue {
 	t.Helper()
 	q, err := m.NewQueue(loop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.BeginEvents(loop, q)
+	m.BeginEvents(loop, q, 0)
 	return q
 }
 
@@ -121,11 +115,13 @@ func (r *ownerRecorder) Submit(at sim.Time, req device.Request) (sim.Time, error
 
 // TestEventModeOwnerSurvivesPark is the attribution regression: a
 // process that parks (waiting for a completion) must keep submitting
-// under its own identity afterwards, even though another thread's
-// SetProc rebound the mount while it slept. Without restoring
-// curOwner at every yield point, every request after the first park —
-// from both processes — is stamped with whichever owner ran last,
-// and CFQ quietly collapses to a single queue.
+// under its own identity afterwards, even though another process ran
+// while it slept. The mount once kept its own copy of the running
+// process and its owner, rebound by the engine before each op and
+// written back after each park; a park site that missed the write-back
+// stamped every later request, from both processes, with whichever
+// owner ran last, and CFQ quietly collapsed to a single queue. Now the
+// mount reads the loop's running process and its Owner at every stamp.
 func TestEventModeOwnerSurvivesPark(t *testing.T) {
 	m := newMount(t, 4, 0) // tiny cache: every page read misses
 	fd := mkFile(t, m, "/f", 1<<20)
@@ -138,24 +134,20 @@ func TestEventModeOwnerSurvivesPark(t *testing.T) {
 	m.Dev = rec
 	loop := sim.NewEventLoop(0)
 	enterEvents(t, m, loop)
-	m.StopWriteback()
 	// Two interleaved multi-page cold reads: each proc parks once per
-	// page, so the mount is rebound many times mid-operation.
+	// page, so the other runs many times mid-operation.
 	for i := 0; i < 2; i++ {
-		owner := i + 1
 		off := int64(i) * 512 << 10
 		loop.Go(0, func(p *sim.Proc) {
-			m.SetProc(p, owner)
 			now := p.Now()
 			for pg := 0; pg < 4; pg++ {
-				m.SetProc(p, owner)
 				_, done, err := m.Read(now, fd, off+int64(pg)*4096, 4096)
 				if err != nil {
 					t.Error(err)
 				}
 				now = done
 			}
-		})
+		}).Owner = i + 1
 	}
 	loop.Run()
 	m.EndEvents()
@@ -227,23 +219,22 @@ func TestEventModeOwnerAtEveryPark(t *testing.T) {
 	rec := &requestHasher{Device: m.Dev, h: h, owners: map[int]int{}}
 	m.Dev = rec
 	loop := sim.NewEventLoop(now)
-	q := enterEvents(t, m, loop)
-	remaining := 2
+	q, err := m.NewQueue(loop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The daemon runs until both processes finish.
+	finish := m.BeginEvents(loop, q, 2)
 	for i := range 2 {
 		owner := i + 1
 		rng := sim.NewRNG(uint64(40 + owner))
 		loop.Go(now, func(p *sim.Proc) {
-			defer func() {
-				if remaining--; remaining == 0 {
-					m.StopWriteback()
-				}
-			}()
+			defer finish()
 			at := p.Now()
-			// bind realigns the process with its clock and binds the
-			// mount to it before each op, as the engines do.
+			// bind realigns the process with its clock before each op,
+			// as the engines do.
 			bind := func() sim.Time {
 				p.WaitUntil(at)
-				m.SetProc(p, owner)
 				return at
 			}
 			fd, done, err := m.Create(bind(), fmt.Sprintf("/w%d", owner))
@@ -272,7 +263,7 @@ func TestEventModeOwnerAtEveryPark(t *testing.T) {
 			if _, err = m.Fsync(bind(), fd); err != nil {
 				t.Error(err)
 			}
-		})
+		}).Owner = owner
 	}
 	loop.Run()
 	m.EndEvents()

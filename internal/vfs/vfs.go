@@ -8,7 +8,7 @@
 // Reads consult the cache hierarchy per page; misses resolve the block
 // mapping through the file system (charging metadata I/O through the
 // same cache) and read the device. Writes dirty cache pages; in
-// event-driven runs a pdflush-style daemon process ages them out
+// event-driven runs a pdflush-style daemon ages them out
 // under its own requester identity while dirty throttling parks
 // writers at the high-water mark, and in immediate mode the op that
 // crosses the background threshold sends the oldest-dirtied batch
@@ -56,10 +56,9 @@ type Config struct {
 	WritebackBatch int
 	// WritebackInterval is the write-back daemon's wake period in
 	// event-driven runs (<= 0 selects 500 ms). The daemon is the
-	// pdflush of this stack: a simulated process that wakes
-	// periodically, ages out the oldest-dirtied pages in batches, and
-	// competes for the device queue under its own identity
-	// (device.OwnerDaemon).
+	// pdflush of this stack: an event that recurs periodically, ages
+	// out the oldest-dirtied pages in batches, and competes for the
+	// device queue under its own identity (device.OwnerDaemon).
 	WritebackInterval sim.Time
 	// AtimeUpdates enables access-time maintenance on reads (the
 	// 2011-era default; relatime arrived later).
@@ -144,19 +143,9 @@ type Mount struct {
 	// waitPool recycles blocking submissions' completions (submitSync)
 	// the same way, so a blocking request allocates only its IORequest.
 	waitPool []*syncWait
-	// cur is the process currently holding the baton. Every yield
-	// point restores it (together with curOwner) on resume, so nested
-	// blocking submissions inside one VFS call chain stay bound to
-	// their own process.
-	cur *sim.Proc
-	// curOwner is the requester identity stamped on requests the
-	// current process submits (device.OwnerNone outside event mode),
-	// so schedulers and fairness stats can attribute every I/O. It is
-	// restored alongside cur at every yield point: while a process is
-	// parked, another thread's SetProc rebinds both.
-	curOwner int
-	// flusherStop tells the write-back daemon to exit at its next
-	// wake, letting the event loop drain after the workload finishes.
+	// flusherStop retires the write-back daemon: its next wake does
+	// not schedule another, letting the event loop drain after the
+	// workload finishes.
 	flusherStop bool
 	// dirtyWaiters are processes parked on dirty/write-back state —
 	// throttled writers, SyncAll, Fsync — in park order. Every
@@ -239,21 +228,33 @@ type Submitter interface {
 
 // BeginEvents switches the mount into event mode on loop: device
 // accesses go to sub (a device.Queue from NewQueue, or a bridge to a
-// queue on another shard), the write-back daemon starts as a
-// simulated process, and subsequent operations must run inside
-// processes registered with SetProc. The workload and trace engines
-// call it at the start of every measured run.
-func (m *Mount) BeginEvents(loop *sim.EventLoop, sub Submitter) {
+// queue on another shard), operations must run inside processes, and
+// each request a process submits carries its Owner. n counts the
+// phase's processes and feeders (such as open-loop generators); each
+// calls the returned done once as it finishes, and the n-th call
+// retires the write-back daemon, whose periodic wake would otherwise
+// keep the loop alive (n = 0 retires it at once). The workload and
+// trace engines call it at the start of every measured run.
+func (m *Mount) BeginEvents(loop *sim.EventLoop, sub Submitter, n int) (done func()) {
 	m.loop = loop
 	m.sub = sub
-	m.flusherStop = false
-	loop.Go(loop.Now(), m.flusherMain)
+	m.flusherStop = n == 0
+	// Every live process and feeder holds at most one pending event,
+	// plus the daemon's wake: reserving them up front keeps the
+	// measured phase free of heap growth.
+	loop.Reserve(n + 16)
+	loop.ScheduleTarget(loop.Now()+m.cfg.WritebackInterval, flusher{m})
+	return func() {
+		if n--; n == 0 {
+			m.flusherStop = true
+		}
+	}
 }
 
 // NewQueue builds a device queue per this mount's configuration
 // (scheduler, depth) on loop, without entering event mode. Engines
 // build their queues with it before any mount enters event mode, so a
-// bad scheduler fails before a write-back daemon is spawned.
+// bad scheduler fails while every mount is still in immediate mode.
 func (m *Mount) NewQueue(loop *sim.EventLoop) (*device.Queue, error) {
 	sched, err := device.NewScheduler(m.cfg.Scheduler)
 	if err != nil {
@@ -265,9 +266,8 @@ func (m *Mount) NewQueue(loop *sim.EventLoop) (*device.Queue, error) {
 // EndEvents leaves event mode. The caller must have run the loop dry
 // first; the queue's counters stay with whoever built it.
 func (m *Mount) EndEvents() {
-	m.loop, m.cur = nil, nil
+	m.loop = nil
 	m.sub = nil
-	m.curOwner = device.OwnerNone
 	m.flusherStop = true
 	m.dirtyWaiters = nil
 }
@@ -275,21 +275,19 @@ func (m *Mount) EndEvents() {
 // InEvents reports whether the mount is in event mode.
 func (m *Mount) InEvents() bool { return m.sub != nil }
 
-// SetProc binds subsequent operations to process p, submitting I/O as
-// the given requester identity (a positive owner id; the engine uses
-// thread index + 1). The engine calls it whenever a virtual thread
-// regains the baton.
-func (m *Mount) SetProc(p *sim.Proc, owner int) { m.cur, m.curOwner = p, owner }
-
-// StopWriteback tells the write-back daemon to exit at its next wake.
-// The engine calls it when the last workload thread finishes so the
-// event loop can drain; pages still dirty stay dirty (a caller
-// wanting durability runs SyncAll afterwards).
-func (m *Mount) StopWriteback() { m.flusherStop = true }
+// running is the process whose operation is executing: the event
+// loop's baton holder in event mode, nil in immediate mode or in loop
+// context.
+func (m *Mount) running() *sim.Proc {
+	if m.sub == nil {
+		return nil
+	}
+	return m.loop.Running()
+}
 
 // --- Write-back daemon and dirty throttling --------------------------
 
-// flusherMain is the write-back daemon: the pdflush of this stack. It
+// flusher is the write-back daemon: the pdflush of this stack. It
 // wakes every WritebackInterval of virtual time and, while dirty
 // pages exceed the background threshold (DirtyRatio), retires them
 // oldest-dirtied first in WritebackBatch-sized bursts submitted under
@@ -297,18 +295,24 @@ func (m *Mount) StopWriteback() { m.flusherStop = true }
 // write-back state until their completion events fire — only then do
 // they become clean — so the daemon genuinely competes with workload
 // threads for the device instead of flushing for free at op
-// boundaries.
-func (m *Mount) flusherMain(p *sim.Proc) {
-	for {
-		p.Sleep(m.cfg.WritebackInterval)
-		if m.flusherStop || m.sub == nil {
-			return
-		}
-		m.flusherRound(p.Now())
-		// Unmappable pages are cleaned without a completion event;
-		// give anyone parked on dirty state a chance to re-check.
-		m.wakeDirtyWaiters()
+// boundaries. It never blocks, so it is an event target, not a
+// process; a one-pointer struct boxes into the interface without
+// allocating.
+type flusher struct{ m *Mount }
+
+// RunEvent implements sim.EventTarget: one wake of the daemon, which
+// schedules the next unless BeginEvents' countdown retired it.
+func (f flusher) RunEvent() {
+	m := f.m
+	if m.flusherStop {
+		return
 	}
+	now := m.loop.Now()
+	m.flusherRound(now)
+	// Unmappable pages are cleaned without a completion event;
+	// give anyone parked on dirty state a chance to re-check.
+	m.wakeDirtyWaiters()
+	m.loop.ScheduleTarget(now+m.cfg.WritebackInterval, f)
 }
 
 // flusherRound flushes batches until dirty pages drop below the
@@ -409,7 +413,8 @@ func (m *Mount) dirtyHighPages() int {
 // the caller charges to the operation: a writer outrunning the device
 // pays the stall in its own latency.
 func (m *Mount) balanceDirty(at sim.Time) sim.Time {
-	if m.sub == nil || m.cur == nil {
+	p := m.running()
+	if p == nil {
 		m.immediateWriteback(at)
 		return at
 	}
@@ -424,14 +429,11 @@ func (m *Mount) balanceDirty(at sim.Time) sim.Time {
 	if l1.DirtyCount()+l1.WritebackCount() < high {
 		return at
 	}
-	p, owner := m.cur, m.curOwner
 	p.WaitUntil(at) // realign before sleeping on the wait list
-	m.cur, m.curOwner = p, owner
 	m.stats.ThrottleStalls++
 	for l1.DirtyCount()+l1.WritebackCount() >= high {
 		m.dirtyWaiters = append(m.dirtyWaiters, p)
 		p.Park()
-		m.cur, m.curOwner = p, owner
 	}
 	return p.Now()
 }
@@ -442,25 +444,24 @@ func (m *Mount) balanceDirty(at sim.Time) sim.Time {
 // durability before their completion events fire. It returns the
 // (possibly advanced) virtual time.
 func (m *Mount) waitWriteback(at sim.Time) sim.Time {
-	if m.sub == nil || m.cur == nil || m.PC.L1.WritebackCount() == 0 {
+	p := m.running()
+	if p == nil || m.PC.L1.WritebackCount() == 0 {
 		return at
 	}
-	p, owner := m.cur, m.curOwner
 	p.WaitUntil(at)
-	m.cur, m.curOwner = p, owner
 	for m.PC.L1.WritebackCount() > 0 {
 		m.dirtyWaiters = append(m.dirtyWaiters, p)
 		p.Park()
-		m.cur, m.curOwner = p, owner
 	}
 	return p.Now()
 }
 
-// stampOwner attributes a request to the current process's requester
-// identity unless the caller already chose one (the daemon).
-func (m *Mount) stampOwner(req *device.Request) {
-	if req.Owner == device.OwnerNone {
-		req.Owner = m.curOwner
+// stampOwner attributes a request to process p's requester identity
+// unless the caller already chose one (the daemon). Without a process
+// (immediate mode, loop context) the request stays unattributed.
+func stampOwner(req *device.Request, p *sim.Proc) {
+	if req.Owner == device.OwnerNone && p != nil {
+		req.Owner = p.Owner
 	}
 }
 
@@ -469,13 +470,12 @@ func (m *Mount) stampOwner(req *device.Request) {
 // enqueueing and parking the current process until the completion
 // event fires. The returned time includes queueing delay.
 func (m *Mount) submitSync(at sim.Time, req device.Request) (sim.Time, error) {
-	m.stampOwner(&req)
-	if m.sub == nil || m.cur == nil {
+	p := m.running()
+	stampOwner(&req, p)
+	if p == nil {
 		return m.Dev.Submit(at, req)
 	}
-	p, owner := m.cur, m.curOwner
 	p.WaitUntil(at)
-	m.cur, m.curOwner = p, owner // restore after a potential yield
 	var w *syncWait
 	if n := len(m.waitPool); n > 0 {
 		w = m.waitPool[n-1]
@@ -487,7 +487,6 @@ func (m *Mount) submitSync(at sim.Time, req device.Request) (sim.Time, error) {
 	w.p = p
 	m.sub.Submit(p.Now(), req, w.complete)
 	p.Park()
-	m.cur, m.curOwner = p, owner
 	done, err := w.done, w.err
 	*w = syncWait{complete: w.complete}
 	m.waitPool = append(m.waitPool, w)
@@ -521,7 +520,7 @@ func (w *syncWait) store(t sim.Time, err error) {
 // submission is synchronous underneath; in event mode it is always
 // nil and failures reach onErr (or just the queue's error counter).
 func (m *Mount) submitAsync(at sim.Time, req device.Request, onErr func(error)) error {
-	m.stampOwner(&req)
+	stampOwner(&req, m.running())
 	if m.sub == nil {
 		_, err := m.Dev.Submit(at, req)
 		if err != nil && onErr != nil {
@@ -578,15 +577,14 @@ func (m *Mount) submitBatchSync(at sim.Time, reqs []device.Request) (sim.Time, e
 	if len(reqs) == 0 {
 		return at, nil
 	}
+	p := m.running()
 	for i := range reqs {
-		m.stampOwner(&reqs[i])
+		stampOwner(&reqs[i], p)
 	}
-	if m.sub == nil || m.cur == nil {
+	if p == nil {
 		return device.SubmitBatch(m.Dev, at, reqs)
 	}
-	p, owner := m.cur, m.curOwner
 	p.WaitUntil(at)
-	m.cur, m.curOwner = p, owner
 	remaining := len(reqs)
 	var last sim.Time
 	var firstErr error
@@ -605,7 +603,6 @@ func (m *Mount) submitBatchSync(at sim.Time, reqs []device.Request) (sim.Time, e
 		})
 	}
 	p.Park()
-	m.cur, m.curOwner = p, owner
 	return last, firstErr
 }
 
@@ -739,7 +736,7 @@ func (m *Mount) pageLBA(id cache.PageID) (int64, bool) {
 // background threshold, the WritebackBatch oldest-dirtied go through
 // flushSync. The op that crossed the threshold is not charged for
 // the batch; the device is busy with it. In event mode flushing
-// belongs to the write-back daemon (flusherMain).
+// belongs to the write-back daemon (flusher).
 func (m *Mount) immediateWriteback(at sim.Time) {
 	l1 := m.PC.L1
 	if l1.Capacity() == 0 || l1.DirtyCount() < m.dirtyThreshold() {

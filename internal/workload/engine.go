@@ -347,7 +347,7 @@ func (e *Engine) Run(from, until sim.Time) (sim.Time, error) {
 	}
 	sl := sim.NewShardedLoop(from, edges, la)
 	// Every queue exists before any mount enters event mode, so a bad
-	// scheduler fails before a write-back daemon is spawned.
+	// scheduler fails while every mount is still in immediate mode.
 	var queues []*device.Queue
 	subs := make([]vfs.Submitter, n)
 	if e.dev != nil {

@@ -233,29 +233,11 @@ func filePath(dir, set string, i int) string {
 // sub, spawns every thread's process and schedules every class's
 // generator at the loop's current time.
 func (s *shard) begin(loop *sim.EventLoop, until sim.Time, sub vfs.Submitter) {
-	s.m.BeginEvents(loop, sub)
+	// Each thread and each generator calls finish once as it ends; the
+	// last call retires the write-back daemon so the loop can drain.
+	finish := s.m.BeginEvents(loop, sub, len(s.threads)+len(s.classes))
 	from := loop.Now()
-	// Every live thread holds one pending event (its park/unpark or
-	// completion) at a time, plus the daemon's wake-up: reserving the
-	// population up front keeps the measured phase free of heap
-	// growth.
-	loop.Reserve(len(s.threads) + len(s.classes) + 16)
 	s.runErr = nil
-	remaining := len(s.threads) + len(s.classes)
-	if remaining == 0 {
-		// A shard that drew no threads or classes has no process to
-		// deliver the last finish(): stop the write-back daemon now or
-		// its periodic wake would keep the loop alive forever.
-		s.m.StopWriteback()
-	}
-	finish := func() {
-		// When the last process finishes, tell the write-back daemon
-		// to exit at its next wake — otherwise its periodic wake-up
-		// would keep the loop alive forever.
-		if remaining--; remaining == 0 {
-			s.m.StopWriteback()
-		}
-	}
 	// Workers spawn before generators so every idle worker is parked
 	// on its class's list before the first arrival fires.
 	for _, th := range s.threads {
@@ -264,10 +246,11 @@ func (s *shard) begin(loop *sim.EventLoop, until sim.Time, sub vfs.Submitter) {
 		if th.openLoop() {
 			body = s.workerLoop
 		}
-		loop.Go(from, func(p *sim.Proc) {
+		p := loop.Go(from, func(p *sim.Proc) {
 			defer finish()
 			body(p, th, until, &s.runErr)
 		})
+		p.Owner = th.owner + 1
 	}
 	for _, cs := range s.classes {
 		loop.ScheduleTarget(from, &generator{
@@ -293,10 +276,8 @@ func (s *shard) end() (sim.Time, error) {
 func (s *shard) closedLoop(p *sim.Proc, th *threadState, until sim.Time, runErr *error) {
 	for th.now < until && *runErr == nil {
 		// Align the op's start with the global clock so ops across
-		// threads execute in virtual-time order, then rebind the mount
-		// to this thread's process and requester identity.
+		// threads execute in virtual-time order.
 		p.WaitUntil(th.now)
-		s.m.SetProc(p, th.owner+1)
 		if err := s.step(th); err != nil {
 			if *runErr == nil {
 				*runErr = err
@@ -320,7 +301,6 @@ func (s *shard) workerLoop(p *sim.Proc, th *threadState, until sim.Time, runErr 
 		if !ok {
 			return
 		}
-		s.m.SetProc(p, th.owner+1)
 		th.arrival = at
 		err := s.execOp(th, op)
 		s.load.Complete()
