@@ -202,7 +202,7 @@ func (m *Mount) readPage(at sim.Time, ino fs.Ino, page, filePages int64) (sim.Ti
 	case cache.L1Hit:
 		now += m.cfg.HitPerPage
 	case cache.L2Hit:
-		now += m.cfg.L2HitPerPage
+		now += l2HitPerPage
 	default:
 		exts, steps, err := m.FS.Map(ino, page, 1)
 		if err != nil {

@@ -30,6 +30,24 @@ import (
 // sectorsPerBlock converts file-system blocks to device sectors.
 const sectorsPerBlock = int64(fs.BlockSize / device.SectorSize)
 
+const (
+	// l2HitPerPage is the cost of promoting and delivering a page from
+	// the flash tier.
+	l2HitPerPage = 90 * sim.Microsecond
+	// dirtyHighRatio is the dirty-throttling high-water mark for
+	// event-driven runs, as a fraction of L1 capacity (dirtyHighPages).
+	dirtyHighRatio = 0.40
+	// writebackBatch is the number of pages flushed per write-back
+	// round.
+	writebackBatch = 256
+	// writebackInterval is the write-back daemon's wake period in
+	// event-driven runs. The daemon is the pdflush of this stack: an
+	// event that recurs periodically, ages out the oldest-dirtied pages
+	// in batches, and competes for the device queue under its own
+	// identity (device.OwnerDaemon).
+	writebackInterval = 500 * sim.Millisecond
+)
+
 // Config tunes the software costs of the stack.
 type Config struct {
 	// SyscallOverhead is charged once per VFS operation (entry,
@@ -38,28 +56,10 @@ type Config struct {
 	// HitPerPage is the cost of delivering one resident page
 	// (lookup + copy to the user buffer).
 	HitPerPage sim.Time
-	// L2HitPerPage is the cost of promoting and delivering a page
-	// from the flash tier.
-	L2HitPerPage sim.Time
 	// DirtyRatio triggers write-back when dirty pages exceed this
 	// fraction of L1 capacity (the background threshold: an op's
 	// write-back batch in immediate mode, the daemon in event mode).
 	DirtyRatio float64
-	// DirtyHighRatio is the dirty-throttling high-water mark for
-	// event-driven runs: a write-path operation parks its process while
-	// dirty + in-flight write-back pages are at or above this fraction
-	// of L1 capacity, resuming on write-back completions. <= DirtyRatio
-	// selects 2x DirtyRatio (0.40 under DefaultConfig).
-	DirtyHighRatio float64
-	// WritebackBatch is the number of pages flushed per write-back
-	// round.
-	WritebackBatch int
-	// WritebackInterval is the write-back daemon's wake period in
-	// event-driven runs (<= 0 selects 500 ms). The daemon is the
-	// pdflush of this stack: an event that recurs periodically, ages
-	// out the oldest-dirtied pages in batches, and competes for the
-	// device queue under its own identity (device.OwnerDaemon).
-	WritebackInterval sim.Time
 	// AtimeUpdates enables access-time maintenance on reads (the
 	// 2011-era default; relatime arrived later).
 	AtimeUpdates bool
@@ -79,14 +79,10 @@ type Config struct {
 // paper's era.
 func DefaultConfig() Config {
 	return Config{
-		SyscallOverhead:   2 * sim.Microsecond,
-		HitPerPage:        1500 * sim.Nanosecond,
-		L2HitPerPage:      90 * sim.Microsecond,
-		DirtyRatio:        0.20,
-		DirtyHighRatio:    0.40,
-		WritebackBatch:    256,
-		WritebackInterval: 500 * sim.Millisecond,
-		AtimeUpdates:      true,
+		SyscallOverhead: 2 * sim.Microsecond,
+		HitPerPage:      1500 * sim.Nanosecond,
+		DirtyRatio:      0.20,
+		AtimeUpdates:    true,
 	}
 }
 
@@ -155,21 +151,6 @@ type Mount struct {
 
 // New mounts filesystem fsys on dev behind the cache hierarchy pc.
 func New(fsys fs.FileSystem, dev device.Device, pc *cache.Hierarchy, cfg Config) *Mount {
-	if cfg.WritebackBatch <= 0 {
-		cfg.WritebackBatch = 256
-	}
-	if cfg.WritebackInterval <= 0 {
-		cfg.WritebackInterval = 500 * sim.Millisecond
-	}
-	if cfg.DirtyHighRatio <= cfg.DirtyRatio {
-		// The high-water mark must sit above the background threshold,
-		// or writers would park below the point where the daemon even
-		// starts flushing.
-		cfg.DirtyHighRatio = 2 * cfg.DirtyRatio
-	}
-	if cfg.DirtyHighRatio <= 0 {
-		cfg.DirtyHighRatio = 0.40
-	}
 	m := &Mount{
 		FS:     fsys,
 		Dev:    dev,
@@ -243,7 +224,7 @@ func (m *Mount) BeginEvents(loop *sim.EventLoop, sub Submitter, n int) (done fun
 	// plus the daemon's wake: reserving them up front keeps the
 	// measured phase free of heap growth.
 	loop.Reserve(n + 16)
-	loop.ScheduleTarget(loop.Now()+m.cfg.WritebackInterval, flusher{m})
+	loop.ScheduleTarget(loop.Now()+writebackInterval, flusher{m})
 	return func() {
 		if n--; n == 0 {
 			m.flusherStop = true
@@ -288,9 +269,9 @@ func (m *Mount) running() *sim.Proc {
 // --- Write-back daemon and dirty throttling --------------------------
 
 // flusher is the write-back daemon: the pdflush of this stack. It
-// wakes every WritebackInterval of virtual time and, while dirty
+// wakes every writebackInterval of virtual time and, while dirty
 // pages exceed the background threshold (DirtyRatio), retires them
-// oldest-dirtied first in WritebackBatch-sized bursts submitted under
+// oldest-dirtied first in writebackBatch-sized bursts submitted under
 // its own identity (device.OwnerDaemon). Flushed pages sit in the
 // write-back state until their completion events fire — only then do
 // they become clean — so the daemon genuinely competes with workload
@@ -312,7 +293,7 @@ func (f flusher) RunEvent() {
 	// Unmappable pages are cleaned without a completion event;
 	// give anyone parked on dirty state a chance to re-check.
 	m.wakeDirtyWaiters()
-	m.loop.ScheduleTarget(now+m.cfg.WritebackInterval, f)
+	m.loop.ScheduleTarget(now+writebackInterval, f)
 }
 
 // flusherRound flushes batches until dirty pages drop below the
@@ -344,7 +325,7 @@ func (m *Mount) dirtyThreshold() int {
 // issued.
 func (m *Mount) flushBatch(at sim.Time) int {
 	l1 := m.PC.L1
-	m.scratch = l1.CollectDirty(m.scratch[:0], m.cfg.WritebackBatch)
+	m.scratch = l1.CollectDirty(m.scratch[:0], writebackBatch)
 	issued := 0
 	for _, id := range m.scratch {
 		lba, ok := m.pageLBA(id)
@@ -394,13 +375,18 @@ func (m *Mount) wakeDirtyWaiters() {
 	}
 }
 
-// dirtyHighPages is the throttling high-water mark in pages.
+// dirtyHighPages is the throttling high-water mark in pages: a
+// write-path operation parks its process while dirty + in-flight
+// write-back pages are at or above it, resuming on write-back
+// completions. It must sit above the background threshold, or writers
+// would park below the point where the daemon even starts flushing, so
+// a DirtyRatio of dirtyHighRatio or more doubles instead.
 func (m *Mount) dirtyHighPages() int {
-	high := int(m.cfg.DirtyHighRatio * float64(m.PC.L1.Capacity()))
-	if high < 1 {
-		high = 1
+	ratio := dirtyHighRatio
+	if ratio <= m.cfg.DirtyRatio {
+		ratio = 2 * m.cfg.DirtyRatio
 	}
-	return high
+	return max(int(ratio*float64(m.PC.L1.Capacity())), 1)
 }
 
 // balanceDirty applies dirty-page back pressure at a write-path op
@@ -733,7 +719,7 @@ func (m *Mount) pageLBA(id cache.PageID) (int64, bool) {
 
 // immediateWriteback is immediate mode's background write-back (setup,
 // including trace replay's Setup): once dirty pages reach the
-// background threshold, the WritebackBatch oldest-dirtied go through
+// background threshold, the writebackBatch oldest-dirtied go through
 // flushSync. The op that crossed the threshold is not charged for
 // the batch; the device is busy with it. In event mode flushing
 // belongs to the write-back daemon (flusher).
@@ -742,7 +728,7 @@ func (m *Mount) immediateWriteback(at sim.Time) {
 	if l1.Capacity() == 0 || l1.DirtyCount() < m.dirtyThreshold() {
 		return
 	}
-	m.scratch = l1.CollectDirty(m.scratch[:0], m.cfg.WritebackBatch)
+	m.scratch = l1.CollectDirty(m.scratch[:0], writebackBatch)
 	// Nobody waits on background write-back, so nobody sees its error;
 	// the batch's pages leave the write-back state either way.
 	if _, issued, _ := m.flushSync(at, m.scratch); issued > 0 {

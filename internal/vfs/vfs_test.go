@@ -324,9 +324,8 @@ func TestL2TierLatencyOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	l2Lat := done - start
-	cfg := DefaultConfig()
-	if l2Lat < cfg.L2HitPerPage/2 {
-		t.Errorf("L2 hit latency %v, want >= ~%v", l2Lat, cfg.L2HitPerPage)
+	if l2Lat < l2HitPerPage/2 {
+		t.Errorf("L2 hit latency %v, want >= ~%v", l2Lat, l2HitPerPage)
 	}
 	if l2Lat > 2*sim.Millisecond {
 		t.Errorf("L2 hit latency %v looks like a disk access", l2Lat)
