@@ -10,27 +10,25 @@ import (
 const ownerStampType = "repro/internal/device.Request"
 
 // stampingSinks are methods that stamp Owner centrally: a literal
-// handed directly to one of these is filled with the mount's current
-// requester identity (vfs.Mount.stampOwner), a protocol pinned by
-// TestEventModeOwnerSurvivesPark. Naming them here keeps the
-// exemption reviewable — a new submission path must either stamp at
-// the literal or earn its place in this list.
+// handed directly to one of these is filled with the Owner of the
+// process the event loop is running (vfs.stampOwner with
+// sim.EventLoop.Running), a protocol pinned by
+// TestEventModeOwnerSurvivesPark and TestEventModeOwnerAtEveryPark.
+// Naming them here keeps the exemption reviewable — a new submission
+// path must either stamp at the literal or earn its place in this
+// list.
 var stampingSinks = map[string]bool{
 	"submitSync":  true,
 	"submitAsync": true,
-	"stampOwner":  true,
 }
 
 // OwnerStamp flags a device.Request composite literal that omits the
-// Owner field outside internal/device itself. PR 3 threaded
-// requester identity end-to-end precisely because an unstamped
-// request silently becomes OwnerNone: CFQ then schedules it in the
-// wrong per-owner queue and fairness accounting attributes its wait
-// to nobody — the identity bug that took two review rounds to fully
-// kill (owner lost across park). Constructing a request forces the
-// question "on whose behalf?"; answer it in the literal, hand the
-// literal straight to a stamping sink, or annotate why identity
-// cannot apply.
+// Owner field outside internal/device itself. An unstamped request
+// silently becomes OwnerNone: CFQ then schedules it in the wrong
+// per-owner queue and fairness accounting attributes its wait to
+// nobody. Constructing a request forces the question "on whose
+// behalf?"; answer it in the literal, hand the literal straight to a
+// stamping sink, or annotate why identity cannot apply.
 var OwnerStamp = &Analyzer{
 	Name: "ownerstamp",
 	Doc:  "device.Request literals outside internal/device must set Owner (or flow directly into a stamping sink)",

@@ -26,7 +26,7 @@ func positional() device.Request {
 }
 
 // mount mimics the vfs stamping protocol: a literal handed directly
-// to a stamping sink is filled with the current requester identity
+// to a stamping sink is filled with the running process's identity
 // inside the callee.
 type mount struct{ owner int }
 

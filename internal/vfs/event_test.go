@@ -115,13 +115,12 @@ func (r *ownerRecorder) Submit(at sim.Time, req device.Request) (sim.Time, error
 
 // TestEventModeOwnerSurvivesPark is the attribution regression: a
 // process that parks (waiting for a completion) must keep submitting
-// under its own identity afterwards, even though another process ran
-// while it slept. The mount once kept its own copy of the running
-// process and its owner, rebound by the engine before each op and
-// written back after each park; a park site that missed the write-back
-// stamped every later request, from both processes, with whichever
-// owner ran last, and CFQ quietly collapsed to a single queue. Now the
-// mount reads the loop's running process and its Owner at every stamp.
+// under its own identity afterwards, though another process ran while
+// it slept. The mount stamps the running process's Owner at every
+// submission; an owner recorded anywhere else, and left stale by a
+// park, would stamp every later request, from both processes, with
+// whichever owner ran last, and CFQ would quietly collapse to a single
+// queue.
 func TestEventModeOwnerSurvivesPark(t *testing.T) {
 	m := newMount(t, 4, 0) // tiny cache: every page read misses
 	fd := mkFile(t, m, "/f", 1<<20)
@@ -231,36 +230,36 @@ func TestEventModeOwnerAtEveryPark(t *testing.T) {
 		loop.Go(now, func(p *sim.Proc) {
 			defer finish()
 			at := p.Now()
-			// bind realigns the process with its clock before each op,
+			// align realigns the process with its clock before each op,
 			// as the engines do.
-			bind := func() sim.Time {
+			align := func() sim.Time {
 				p.WaitUntil(at)
 				return at
 			}
-			fd, done, err := m.Create(bind(), fmt.Sprintf("/w%d", owner))
+			fd, done, err := m.Create(align(), fmt.Sprintf("/w%d", owner))
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			at = done
 			for r := range 48 {
-				if _, at, err = m.Read(bind(), src[i], rng.Int63n(256)*4096, 4096); err != nil {
+				if _, at, err = m.Read(align(), src[i], rng.Int63n(256)*4096, 4096); err != nil {
 					t.Error(err)
 					return
 				}
-				if at, err = m.Write(bind(), fd, int64(r)*16<<10, 16<<10); err != nil {
+				if at, err = m.Write(align(), fd, int64(r)*16<<10, 16<<10); err != nil {
 					t.Error(err)
 					return
 				}
 				if r%16 == 15 {
-					if at, err = m.Fsync(bind(), fd); err != nil {
+					if at, err = m.Fsync(align(), fd); err != nil {
 						t.Error(err)
 						return
 					}
 				}
 			}
 			at += 600 * sim.Millisecond
-			if _, err = m.Fsync(bind(), fd); err != nil {
+			if _, err = m.Fsync(align(), fd); err != nil {
 				t.Error(err)
 			}
 		}).Owner = owner

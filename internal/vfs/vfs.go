@@ -762,7 +762,7 @@ func (m *Mount) flushSync(at sim.Time, ids []cache.PageID) (sim.Time, int, error
 		if !ok {
 			continue
 		}
-		//fslint:ignore ownerstamp submitBatchSync stamps the caller's identity one hop below
+		//fslint:ignore ownerstamp submitBatchSync stamps the running process's Owner one hop below
 		reqs = append(reqs, device.Request{Op: device.Write, LBA: lba, Sectors: sectorsPerBlock})
 		marked = append(marked, id)
 		gens = append(gens, gen)
