@@ -398,9 +398,8 @@ func (p *Proc) Park() Time {
 // Unpark resumes a parked process at the loop's current time and hands
 // it the baton until it parks again. The caller is an event callback
 // (a Backlog's Put hands an arrival straight to an idle server, a
-// write-back completion wakes writers parked on dirty pages) or,
-// though nothing outside this package's tests does it, another
-// running process; either way it runs on at the same instant once the
-// process yields, so the process yields at its next wait instead of
-// advancing in place.
+// write-back completion wakes writers parked on dirty pages) or
+// another running process; either way it runs on at the same instant
+// once the process yields, so the process yields at its next wait
+// instead of advancing in place.
 func (p *Proc) Unpark() { p.resume() }

@@ -40,11 +40,8 @@ const (
 	// writebackBatch is the number of pages flushed per write-back
 	// round.
 	writebackBatch = 256
-	// writebackInterval is the write-back daemon's wake period in
-	// event-driven runs. The daemon is the pdflush of this stack: an
-	// event that recurs periodically, ages out the oldest-dirtied pages
-	// in batches, and competes for the device queue under its own
-	// identity (device.OwnerDaemon).
+	// writebackInterval is the write-back daemon's (flusher's) wake
+	// period in event-driven runs.
 	writebackInterval = 500 * sim.Millisecond
 )
 
